@@ -19,7 +19,7 @@ model = msfnet.load_model_config(ROOT / "paper.cfg")
 
 print("weighted designer, er:8:0.5, 200 trials (seed 2026)")
 weighted = msfnet.stability_probability(model, "er:8:0.5", trials=200,
-                                        seed=2026, scan_points=200, workers=4)
+                                        seed=2026)
 print(f"  stable fraction = {weighted.fraction:.3f} "
       f"(95% CI [{weighted.ci_low:.3f}, {weighted.ci_high:.3f}], "
       f"{weighted.stable_count}/{weighted.trials})")

@@ -4,7 +4,8 @@ Subcommands: ``msf grid``, ``msf interval``, ``design weighted|binary|matching``
 ``sweep norm``, ``verify``, ``prob stability``.  Every file is written
 atomically (temp file + rename) and a ``run-manifest.txt`` beside the primary
 output records the full flag set and library versions, so identical
-invocations produce byte-identical artifacts.
+invocations produce byte-identical artifacts.  A run without an output file
+writes no manifest.
 
 Exit codes: 0 success; 1 infeasible/unstable verdict (outputs still
 written); 2 usage or input errors.
@@ -84,19 +85,6 @@ def _load_network(value: str, *, coupling: float = 1.0):
     return read_adjacency_csv(value)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MSF_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BadParameter(f"MSF_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise BadParameter(f"MSF_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return min(4, os.cpu_count() or 1)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -122,7 +110,9 @@ def _fmt(value: float) -> str:
 
 
 def _write_manifest(command: str, args: argparse.Namespace, primary_out) -> None:
-    directory = Path(primary_out).parent if primary_out else Path(".")
+    if not primary_out:
+        return
+    directory = Path(primary_out).parent
     skip = {"func", "command", "subcommand"}
     lines = [f"command = {command}"]
     for key in sorted(vars(args)):
@@ -174,7 +164,7 @@ def _cmd_msf_interval(args: argparse.Namespace) -> int:
     exit_code = EXIT_OK
     for lam in args.lam:
         try:
-            iv = stable_interval(model, lam, search, args.tol, scan_points=args.scan)
+            iv = stable_interval(model, lam, search)
         except NoStableInterval as exc:
             print(f"lambda={lam}: no stable interval ({exc})")
             rows.append(f"{_fmt(lam)},0.0,nan,nan,0,0")
@@ -199,8 +189,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     try:
         if args.method == "weighted":
             result = design_weighted(model, network, _parse_range(args.range),
-                                     args.margin, tol=args.tol,
-                                     scan_points=args.scan)
+                                     args.margin)
         elif args.method == "binary":
             result = design_binary(model, network, symmetric=args.symmetric,
                                    time_limit=args.time_limit)
@@ -245,7 +234,7 @@ def _cmd_sweep_norm(args: argparse.Namespace) -> int:
     model = load_model_config(args.model)
     rows = norm_sweep(model, args.family, _parse_int_range(args.n),
                       margin=args.margin, search_range=_parse_range(args.range),
-                      coupling=args.coupling, tol=args.tol, scan_points=args.scan)
+                      coupling=args.coupling)
     lines = ["N,weighted_norm,matching_norm,status"]
     lines += [f"{r.N},{_fmt(r.weighted_norm)},{_fmt(r.matching_norm)},{r.status}"
               for r in rows]
@@ -306,8 +295,7 @@ def _cmd_prob_stability(args: argparse.Namespace) -> int:
     model = load_model_config(args.model)
     estimate = stability_probability(
         model, args.family, args.trials, args.designer, seed=args.seed,
-        search_range=_parse_range(args.range), margin=args.margin,
-        scan_points=args.scan, workers=_worker_count())
+        search_range=_parse_range(args.range), margin=args.margin)
     p_value = args.family.split(":")[2]
     report = {
         "family": args.family,
@@ -338,10 +326,6 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
 def _add_interval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--range", default="-50:50",
                         help="mu search range low:high (default -50:50)")
-    parser.add_argument("--scan", type=int, default=400,
-                        help="scan resolution for sign changes (default 400)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="bisection bracket tolerance (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:

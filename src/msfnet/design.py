@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BadParameter, Infeasible, NoStableInterval, NonNormalNetwork, NumericalFailure, TimedOut
 from .graphs import Network, make_network, spectrum
 from .model import PlantModel, matching_gain
-from .msf import DEFAULT_SCAN_POINTS, DEFAULT_TOL, StableInterval, stable_interval
+from .msf import StableInterval, stable_interval
 from .verify import build_closed_loop, spectral_verdict
 
 _NORMALITY_TOL = 1e-8
@@ -91,22 +91,18 @@ def _require_normal(network: Network) -> None:
 def _pick_mode_gain(interval: StableInterval, margin: float) -> float:
     """Smallest-magnitude gain safely inside the interval.
 
-    Zero whenever the interval strictly contains it; otherwise the finite
-    boundary nearest the origin moved ``margin`` into the interior (capped
-    at the midpoint for intervals narrower than two margins).
+    The point nearest the origin of the interval shrunk by ``margin`` at
+    both ends (to its midpoint when narrower than two margins): zero when
+    zero is at least ``margin`` from both ends, else the nearest end moved
+    ``margin`` into the interior.  A boundary a rounding error away from
+    zero therefore still gets its margin.
     """
-    if interval.strictly_contains_zero():
-        return 0.0
     step = min(margin, 0.5 * (interval.upper - interval.lower))
-    if interval.lower >= 0.0:
-        return interval.lower + step
-    return interval.upper - step
+    return min(max(0.0, interval.lower + step), interval.upper - step)
 
 
 def design_weighted(model: PlantModel, plant_network: Network,
-                    search_range=(-50.0, 50.0), margin: float = 0.01,
-                    *, tol: float = DEFAULT_TOL,
-                    scan_points: int = DEFAULT_SCAN_POINTS) -> DesignResult:
+                    search_range=(-50.0, 50.0), margin: float = 0.01) -> DesignResult:
     """Frobenius-minimal weighted feedback network.
 
     Decomposes the plant network as Q diag(lambda) Q*, finds each mode's
@@ -129,8 +125,7 @@ def design_weighted(model: PlantModel, plant_network: Network,
         key = (round(float(lam.real), 12), round(float(lam.imag), 12))
         try:
             if key not in cache:
-                cache[key] = stable_interval(model, complex(lam), search_range,
-                                             tol, scan_points=scan_points)
+                cache[key] = stable_interval(model, complex(lam), search_range)
             intervals.append(cache[key])
         except NoStableInterval:
             intervals.append(None)
@@ -299,8 +294,7 @@ def design_binary(model: PlantModel, plant_network: Network,
 
 def norm_sweep(model: PlantModel, family: str, n_range,
                *, margin: float = 0.01, search_range=(-50.0, 50.0),
-               coupling: float = 1.0, tol: float = DEFAULT_TOL,
-               scan_points: int = DEFAULT_SCAN_POINTS) -> list[SweepRow]:
+               coupling: float = 1.0) -> list[SweepRow]:
     """Weighted vs matching feedback norms across network sizes.
 
     ``family`` is ``complete`` or ``ring:k``; ``n_range`` is an inclusive
@@ -327,8 +321,7 @@ def norm_sweep(model: PlantModel, family: str, n_range,
         network = build(N)
         matching_norm = design_matching(model, network).frobenius_norm
         try:
-            weighted = design_weighted(model, network, search_range, margin,
-                                       tol=tol, scan_points=scan_points)
+            weighted = design_weighted(model, network, search_range, margin)
             rows.append(SweepRow(N, weighted.frobenius_norm, matching_norm, "ok"))
         except Infeasible:
             rows.append(SweepRow(N, float("nan"), matching_norm, "infeasible"))

@@ -36,8 +36,7 @@ class PlantModel:
     F : (n, n) derived, D + R K
     G : (n, n) derived, R L
 
-    Instances are immutable (arrays are marked read-only) and safe to share
-    across workers.
+    Instances are immutable (arrays are marked read-only).
     """
 
     D: np.ndarray

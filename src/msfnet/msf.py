@@ -13,18 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadParameter, NoStableInterval, NumericalFailure
 from .model import PlantModel
 
-#: |sigma| allowed at a refined finite interval boundary.
-BOUNDARY_TOL = 1e-6
-
-#: Default number of scan points for the coarse sign-change sweep.
-DEFAULT_SCAN_POINTS = 400
-
-#: Default bisection bracket width.
-DEFAULT_TOL = 1e-9
+#: A pencil root counts as real when its imaginary part is at most this
+#: fraction of max(1, |real part|).  Rounding splits a multiple real root
+#: into a complex pair with imaginary part ~ sqrt(eps * cond); an extra cut
+#: costs one sigma evaluation, a lost one can lose a boundary.
+_NEAR_REAL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -40,9 +38,10 @@ class MsfPoint:
 class StableInterval:
     """Maximal interval of the real mu axis with sigma(lam, mu) < 0.
 
-    A side flagged unbounded was still negative at the search-range endpoint,
-    which is recorded as the bound; unboundedness is relative to the searched
-    range, not proven.
+    A bounded side is a pencil root where sigma changes sign.  A side flagged
+    unbounded reaches the search-range end with no pencil root before it;
+    the range end is recorded as the bound, so unboundedness is relative to
+    the searched range, not proven.
     """
 
     lam: complex
@@ -50,17 +49,11 @@ class StableInterval:
     upper: float
     bounded_lower: bool
     bounded_upper: bool
-    empty: bool = False
 
     def strictly_contains_zero(self) -> bool:
         return self.lower < 0.0 < self.upper
 
-    def contains(self, mu: float) -> bool:
-        return self.lower <= mu <= self.upper
-
     def distance_to_origin(self) -> float:
-        if self.empty:
-            return float("inf")
         if self.lower <= 0.0 <= self.upper:
             return 0.0
         return min(abs(self.lower), abs(self.upper))
@@ -107,67 +100,82 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps) -> list[MsfPoin
 
 
 def stable_interval(model: PlantModel, lam: complex,
-                    search_range=(-50.0, 50.0), tol: float = DEFAULT_TOL,
-                    *, scan_points: int = DEFAULT_SCAN_POINTS) -> StableInterval:
+                    search_range=(-50.0, 50.0)) -> StableInterval:
     """Negative-sigma interval on the real mu axis nearest the origin.
 
-    Scans ``scan_points`` equispaced mu values over ``search_range`` for
-    sign changes of sigma(lam, .), refines each finite boundary by bisection
-    to bracket width ``tol``, and returns the maximal negative interval
-    minimizing distance to mu = 0 (ties resolved toward the negative side,
-    then by lower endpoint).  Raises NoStableInterval when sigma is
-    nonnegative over the whole scan or every negative region is narrower
-    than the 2*tol resolution limit.
+    sigma(lam, .) can change sign only where M(mu) = F + lam*H + mu*G has
+    an eigenvalue at 0 or two eigenvalues summing to 0, i.e. at the real
+    roots of the pencils (M0, -G) and (bialt(M0), -bialt(G)) with
+    M0 = F + lam*H.  Those roots cut ``search_range`` into segments of
+    constant sign; one sigma evaluation at each midpoint classifies a
+    segment, adjacent stable segments merge, and the merged interval
+    minimizing distance to mu = 0 is returned (ties resolved toward the
+    negative side, then by lower endpoint).  Raises NoStableInterval when
+    no segment is stable.
     """
     mu_lo, mu_hi = _finite_range("search_range", search_range)
     if not mu_lo < 0.0 < mu_hi:
         raise BadParameter(f"search_range must straddle 0, got {search_range}")
-    if tol <= 0.0:
-        raise BadParameter(f"tol must be positive, got {tol}")
-    if scan_points < 3:
-        raise BadParameter(f"scan_points must be >= 3, got {scan_points}")
 
-    def f(mu: float) -> float:
-        return sigma(model, lam, mu)
-
-    grid = np.linspace(mu_lo, mu_hi, scan_points)
-    negative = np.array([f(mu) for mu in grid]) < 0.0
-    if not negative.any():
-        raise NoStableInterval(
-            f"sigma(lambda={lam}, mu) >= 0 over [{mu_lo}, {mu_hi}] "
-            f"({scan_points} scan points); consider enlarging the range")
-
-    candidates = []
-    i = 0
-    while i < len(grid):
-        if not negative[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(grid) and negative[j + 1]:
-            j += 1
-        if i == 0:
-            lower, bounded_lower = float(mu_lo), False
-        else:
-            lower, bounded_lower = _refine_boundary(f, grid[i - 1], grid[i], tol), True
-        if j == len(grid) - 1:
-            upper, bounded_upper = float(mu_hi), False
-        else:
-            upper, bounded_upper = _refine_boundary(f, grid[j], grid[j + 1], tol), True
-        candidates.append(StableInterval(lam, lower, upper, bounded_lower, bounded_upper))
-        i = j + 1
-
-    # slivers below the bisection resolution are rounding artifacts (a
-    # boundary grazing a grid or range point), not resolvable intervals
-    candidates = [c for c in candidates if c.upper - c.lower > 2.0 * tol]
+    roots = _sign_change_candidates(model, complex(lam))
+    inside = roots[(roots > mu_lo) & (roots < mu_hi)]
+    cuts = np.unique(np.concatenate(([mu_lo], inside, [mu_hi])))
+    stable = [_segment_stable(model, lam, 0.5 * (a + b))
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    # a run of stable segments a..b-1 merges into [cuts[a], cuts[b]]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
+    candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]),
+                                 bounded_lower=a > 0, bounded_upper=b < len(stable))
+                  for a, b in zip(edges[::2], edges[1::2])]
     if not candidates:
         raise NoStableInterval(
-            f"sigma(lambda={lam}, mu) has no negative interval wider than "
-            f"{2.0 * tol} in [{mu_lo}, {mu_hi}]")
+            f"sigma(lambda={lam}, mu) >= 0 over [{mu_lo}, {mu_hi}]; "
+            f"consider enlarging the range")
+    return min(candidates, key=_selection_key)
 
-    best = min(candidates, key=_selection_key)
-    _validate_interval(best, f)
-    return best
+
+def _sign_change_candidates(model: PlantModel, lam: complex) -> np.ndarray:
+    """Real parts of the real and near-real finite roots of both pencils."""
+    M0 = model.F + lam.real * model.H
+    G = model.G
+    if lam.imag:
+        # real embedding [[Re, -Im], [Im, Re]]: spectrum of M plus its
+        # conjugate, so a lone eigenvalue on the imaginary axis shows up
+        # as the pair sum lam_i + conj(lam_i) = 0
+        shift = lam.imag * model.H
+        M0 = np.block([[M0, -shift], [shift, M0]])
+        G = np.kron(np.eye(2), G)
+    try:
+        roots = np.concatenate([
+            scipy.linalg.eigvals(M0, -G),
+            scipy.linalg.eigvals(_bialternate(M0), -_bialternate(G)),
+        ])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"pencil eigenvalues failed at lambda={lam}: {exc}") from exc
+    roots = roots[np.isfinite(roots)]
+    near_real = np.abs(roots.imag) <= _NEAR_REAL * np.maximum(1.0, np.abs(roots.real))
+    return roots.real[near_real]
+
+
+def _bialternate(M: np.ndarray) -> np.ndarray:
+    """M acting on antisymmetric tensors e_r ^ e_s (r < s).
+
+    The projection of M (x) I + I (x) M onto the n(n-1)/2 antisymmetric
+    pairs; its eigenvalues are lam_i + lam_j for i < j, and it is linear
+    in M.
+    """
+    r, s = np.triu_indices(M.shape[0], 1)
+    eye = np.eye(M.shape[0])
+    return (M[np.ix_(r, r)] * eye[np.ix_(s, s)] + eye[np.ix_(r, r)] * M[np.ix_(s, s)]
+            - M[np.ix_(r, s)] * eye[np.ix_(s, r)] - eye[np.ix_(r, s)] * M[np.ix_(s, r)])
+
+
+def _segment_stable(model: PlantModel, lam: complex, mu: float) -> bool:
+    # sigma must clear the rounding error of its own eigensolve, so a
+    # boundary grazing a range end cannot leave a stable sliver behind
+    block = model.F + lam * model.H + mu * model.G
+    floor = block.shape[0] * np.finfo(float).eps * max(1.0, np.linalg.norm(block, 2))
+    return sigma(model, lam, mu) < -floor
 
 
 def _finite_range(name: str, value) -> tuple[float, float]:
@@ -180,25 +188,6 @@ def _finite_range(name: str, value) -> tuple[float, float]:
     return lo, hi
 
 
-def _refine_boundary(f, lo: float, hi: float, tol: float) -> float:
-    """Bisect the sign change of f in (lo, hi), tightening past ``tol`` if
-    needed until f at the returned point is inside the boundary tolerance."""
-    negative_lo = f(lo) < 0.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        value = f(mid)
-        if hi - lo <= tol and abs(value) <= 0.5 * BOUNDARY_TOL:
-            break
-        if (value < 0.0) == negative_lo:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def _selection_key(interval: StableInterval):
     if interval.lower <= 0.0 <= interval.upper:
         return (0.0, 0, interval.lower)
@@ -206,20 +195,3 @@ def _selection_key(interval: StableInterval):
         return (interval.lower, 1, interval.lower)
     return (-interval.upper, 0, interval.lower)
 
-
-def _validate_interval(interval: StableInterval, f) -> None:
-    # five interior probes plus the finite-boundary tolerance check
-    span = interval.upper - interval.lower
-    if span <= 0.0:
-        raise NumericalFailure(f"degenerate interval {interval}")
-    for k in range(1, 6):
-        probe = interval.lower + span * k / 6.0
-        if f(probe) >= 0.0:
-            raise NumericalFailure(
-                f"interior probe mu={probe} of {interval} is not stable; "
-                f"increase scan_points")
-    for bounded, point in ((interval.bounded_lower, interval.lower),
-                           (interval.bounded_upper, interval.upper)):
-        if bounded and abs(f(point)) > BOUNDARY_TOL:
-            raise NumericalFailure(
-                f"boundary mu={point} of {interval} has |sigma| > {BOUNDARY_TOL}")

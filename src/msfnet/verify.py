@@ -11,7 +11,6 @@ B share a triangularizing basis, and time-domain integration.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -208,9 +207,8 @@ def _parse_er_family(family: str) -> tuple[int, float]:
 
 def stability_probability(model: PlantModel, family: str, trials: int,
                           design_method="weighted", *, seed: int,
-                          search_range=(-50.0, 50.0), margin: float = 0.01,
-                          scan_points: int = 400,
-                          workers: int = 1) -> StabilityProbability:
+                          search_range=(-50.0, 50.0),
+                          margin: float = 0.01) -> StabilityProbability:
     """Fraction of random plant networks the designer stabilizes.
 
     Samples ``trials`` Erdos-Renyi networks (``family`` = ``er:N:p``) with
@@ -218,30 +216,21 @@ def stability_probability(model: PlantModel, family: str, trials: int,
     trials whose design exists and verifies stable.  Per-trial failures
     (infeasible, no stable interval) count against the fraction.
     ``design_method`` is ``weighted``/``binary``/``matching`` or a callable
-    ``(model, network) -> DesignResult``.  Trials are independent and may
-    run on ``workers`` threads; the tally is order-independent.
+    ``(model, network) -> DesignResult``.
     """
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
     N, p = _parse_er_family(family)
     designer = _resolve_designer(design_method, search_range=search_range,
-                                 margin=margin, scan_points=scan_points)
+                                 margin=margin)
 
-    def one_trial(index: int) -> bool:
-        network = make_network("er", N, p=p, seed=seed + index)
+    stable_count = 0
+    for trial in range(trials):
+        network = make_network("er", N, p=p, seed=seed + trial)
         try:
-            result = designer(model, network)
+            stable_count += bool(designer(model, network).verified)
         except (Infeasible, NoStableInterval, NumericalFailure):
-            return False
-        return bool(result.verified)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_trial, range(trials)))
-    else:
-        outcomes = [one_trial(t) for t in range(trials)]
-
-    stable_count = sum(outcomes)
+            pass
     fraction = stable_count / trials
     half_width = 1.96 * math.sqrt(max(fraction * (1.0 - fraction), 0.0) / trials)
     return StabilityProbability(
@@ -261,7 +250,7 @@ def _resolve_designer(design_method, **kwargs):
     if design_method == "weighted":
         return lambda model, network: design_module.design_weighted(
             model, network, search_range=kwargs["search_range"],
-            margin=kwargs["margin"], scan_points=kwargs["scan_points"])
+            margin=kwargs["margin"])
     if design_method == "binary":
         return lambda model, network: design_module.design_binary(model, network)
     if design_method == "matching":

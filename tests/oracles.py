@@ -83,3 +83,29 @@ def random_symmetric_adjacency(rng: np.random.Generator, N: int,
     A = (A + A.T) / 2.0
     np.fill_diagonal(A, 0.0)
     return A
+
+
+def brute_interval(F, H, G, lam, search_range=(-50.0, 50.0), points=20001):
+    """Stable mu run nearest the origin on a dense grid, or None.
+
+    Evaluates the spectra of F + lam*H + mu*G for ``points`` equispaced mu
+    values as one stacked eigensolve and returns the (first, last) grid
+    points of the maximal run with negative largest real part that is
+    nearest mu = 0 (ties toward the negative side).  Each true boundary
+    lies within one grid step outside the returned run.
+    """
+    mus = np.linspace(search_range[0], search_range[1], points)
+    blocks = (F + lam * H)[None] + mus[:, None, None] * G
+    stable = np.linalg.eigvals(blocks).real.max(axis=1) < 0.0
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], stable.astype(int), [0]))))
+    runs = [(mus[a], mus[b - 1]) for a, b in zip(edges[::2], edges[1::2])]
+    if not runs:
+        return None
+
+    def distance(run):
+        lo, hi = run
+        if lo <= 0.0 <= hi:
+            return (0.0, 0)
+        return (lo, 1) if lo > 0.0 else (-hi, 0)
+
+    return min(runs, key=distance)

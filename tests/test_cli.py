@@ -153,13 +153,15 @@ def test_sweep_norm_csv(model_cfg, tmp_path, capsys):
     assert float(n8[2]) == pytest.approx(2.0 * np.sqrt(8.0), abs=1e-9)
 
 
-def test_verify_zero_feedback_unstable(model_cfg, capsys):
+def test_verify_zero_feedback_unstable(model_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     code = run_cli("verify", "--model", model_cfg, "--plant", "complete:8",
                    "--feedback", "zero")
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["stable"] is False
     assert report["max_real_part"] == pytest.approx((5 + np.sqrt(5)) / 2, abs=1e-9)
+    assert not (tmp_path / "run-manifest.txt").exists()  # no --out, no manifest
 
 
 def test_verify_with_simulation(model_cfg, tmp_path, capsys):
@@ -197,20 +199,6 @@ def test_prob_stability_csv(model_cfg, tmp_path, capsys):
 def test_prob_stability_requires_seed(model_cfg):
     assert run_cli("prob", "stability", "--model", model_cfg,
                    "--family", "er:5:0.5", "--trials", "2") == 2
-
-
-def test_msf_threads_env(model_cfg, tmp_path, monkeypatch, capsys):
-    args = ("prob", "stability", "--model", model_cfg, "--family", "er:5:0.4",
-            "--trials", "4", "--seed", "3", "--out", tmp_path / "p.csv")
-    monkeypatch.setenv("MSF_THREADS", "2")
-    assert run_cli(*args) == 0
-    threaded = (tmp_path / "p.csv").read_bytes()
-    monkeypatch.setenv("MSF_THREADS", "1")
-    assert run_cli(*args) == 0
-    assert (tmp_path / "p.csv").read_bytes() == threaded  # worker count never changes bytes
-    capsys.readouterr()
-    monkeypatch.setenv("MSF_THREADS", "lots")
-    assert run_cli(*args) == 2
 
 
 def test_manifest_records_flags_and_versions(model_cfg, tmp_path):

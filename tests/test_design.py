@@ -68,6 +68,18 @@ def test_weighted_gains_are_minimal(paper_model, ring8):
         assert not (interval.lower < 0.0 < interval.upper)
 
 
+def test_weighted_margin_kept_at_boundary_near_zero(paper_model):
+    # this network has plant eigenvalue 2 up to rounding, so that mode's
+    # stable interval (lambda - 2, 50] starts a rounding error from zero;
+    # a zero gain would sit on the boundary
+    network = msfnet.make_network("er", 8, p=0.5, seed=2066)
+    assert msfnet.spectrum(network).eigenvalues[1] == pytest.approx(2.0, abs=1e-12)
+    result = msfnet.design_weighted(paper_model, network, margin=0.01)
+    assert abs(result.intervals[1].lower) <= 1e-12
+    assert result.mode_gains[1] == pytest.approx(0.01, abs=1e-12)
+    assert result.verified
+
+
 def test_weighted_margin_is_respected(paper_model, complete8):
     result = msfnet.design_weighted(paper_model, complete8, margin=0.5)
     assert result.mode_gains[0] == pytest.approx(5.5, abs=1e-6)

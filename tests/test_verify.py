@@ -173,16 +173,9 @@ def test_probability_single_trial_is_binary(paper_model):
 def test_probability_weighted_designer_always_feasible(paper_model):
     # every real plant eigenvalue admits mu > lam - 2 within the range
     estimate = msfnet.stability_probability(paper_model, "er:8:0.5", trials=40,
-                                            seed=1234, scan_points=200)
+                                            seed=1234)
     assert estimate.fraction == 1.0
     assert estimate.trials == 40
-
-
-def test_probability_thread_count_does_not_change_result(paper_model):
-    serial = msfnet.stability_probability(paper_model, "er:6:0.5", trials=8, seed=9)
-    threaded = msfnet.stability_probability(paper_model, "er:6:0.5", trials=8,
-                                            seed=9, workers=4)
-    assert serial == threaded
 
 
 def test_probability_matching_designer(paper_model):
