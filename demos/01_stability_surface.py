@@ -27,18 +27,16 @@ for lam, mu in [(0.0, 0.0), (2.0, 0.0), (7.0, 5.0), (7.0, 0.0)]:
     print(f"  sigma({lam:4.1f}, {mu:4.1f}) = {msfnet.sigma(model, lam, mu):+.6f}")
 
 steps = 101
-points = msfnet.sigma_grid(model, (-10.0, 10.0), (-10.0, 10.0), steps)
+lams, mus, grid = msfnet.sigma_grid(model, (-10.0, 10.0), (-10.0, 10.0), steps)
 
 csv_path = OUT / "stability_surface.csv"
 lines = ["lambda,mu,sigma"]
-lines += [f"{p.lam},{p.mu},{p.sigma}" for p in points]
+lines += [f"{lam},{mu},{value}" for lam, row in zip(lams.tolist(), grid.tolist())
+          for mu, value in zip(mus.tolist(), row)]
 csv_path.write_text("\n".join(lines) + "\n")
-print(f"\nwrote {len(points)} samples to {csv_path}")
+print(f"\nwrote {grid.size} samples to {csv_path}")
 
 # locate the numerical zero crossing per row and compare with mu = lambda - 2
-grid = np.array([p.sigma for p in points]).reshape(steps, steps)
-lams = np.linspace(-10.0, 10.0, steps)
-mus = np.linspace(-10.0, 10.0, steps)
 worst = 0.0
 for lam, row in zip(lams, grid):
     nonneg = row >= 0.0

@@ -26,12 +26,11 @@ for label, feedback in [("no feedback", np.zeros((8, 8))),
     system = msfnet.build_closed_loop(model, network, feedback)
     verdict = msfnet.spectral_verdict(system)
     result = msfnet.simulate(system, x0, t_end=6.0, dt=0.002)
-    norms = [(s.t, float(np.linalg.norm(s.x))) for s in result.states]
     print(f"{label}: max Re = {verdict.max_real_part:+.4f} "
           f"({'stable' if verdict.stable else 'unstable'})")
     for t_mark in (0.0, 1.5, 3.0, 6.0):
-        t, norm = min(norms, key=lambda item: abs(item[0] - t_mark))
-        print(f"   ||x({t:4.1f})|| = {norm:12.6g}")
+        k = int(np.argmin(np.abs(result.t - t_mark)))
+        print(f"   ||x({result.t[k]:4.1f})|| = {np.linalg.norm(result.x[k]):12.6g}")
     if result.diverged:
         print("   integration stopped early: state norm passed 1e12")
 
@@ -39,6 +38,7 @@ traj_path = OUT / "trajectory_weighted.csv"
 system = msfnet.build_closed_loop(model, network, design.feedback)
 result = msfnet.simulate(system, x0, t_end=6.0, dt=0.002)
 header = "t," + ",".join(f"x_{i + 1}" for i in range(8 * model.n))
-lines = [header] + [f"{s.t}," + ",".join(str(v) for v in s.x) for s in result.states]
+lines = [header] + [f"{t}," + ",".join(map(str, x.tolist()))
+                    for t, x in zip(result.t.tolist(), result.x)]
 traj_path.write_text("\n".join(lines) + "\n")
-print(f"\nwrote {len(result.states)} samples to {traj_path}")
+print(f"\nwrote {len(result.t)} samples to {traj_path}")

@@ -33,10 +33,9 @@ from .graphs import (
     spectrum,
 )
 from .model import PlantModel, build_plant_model, load_model_config, matching_defect, matching_gain
-from .msf import MsfPoint, StableInterval, sigma, sigma_grid, stable_interval
+from .msf import StableInterval, sigma, sigma_grid, stable_interval
 from .verify import (
     ClosedLoopSystem,
-    SimState,
     SimulationResult,
     StabilityProbability,
     Verdict,
@@ -71,7 +70,6 @@ __all__ = [
     "read_adjacency_csv",
     "adjacency_csv_text",
     "spectrum",
-    "MsfPoint",
     "StableInterval",
     "sigma",
     "sigma_grid",
@@ -83,7 +81,6 @@ __all__ = [
     "design_matching",
     "norm_sweep",
     "ClosedLoopSystem",
-    "SimState",
     "SimulationResult",
     "Verdict",
     "StabilityProbability",

@@ -144,16 +144,14 @@ def _gains_for_report(gains) -> list:
 
 def _cmd_msf_grid(args: argparse.Namespace) -> int:
     model = load_model_config(args.model)
-    points = sigma_grid(model, _parse_range(args.lam), _parse_range(args.mu), args.steps)
+    lams, mus, values = sigma_grid(model, _parse_range(args.lam), _parse_range(args.mu), args.steps)
     lines = ["lambda,mu,sigma"]
-    lines += [f"{_fmt(p.lam.real if isinstance(p.lam, complex) else p.lam)},"
-              f"{_fmt(p.mu.real if isinstance(p.mu, complex) else p.mu)},"
-              f"{_fmt(p.sigma)}" for p in points]
+    lines += [f"{lam},{mu},{value}" for lam, row in zip(lams.tolist(), values.tolist())
+              for mu, value in zip(mus.tolist(), row)]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     _write_manifest("msf grid", args, args.out)
-    values = [p.sigma for p in points]
-    print(f"wrote {len(points)} grid points to {args.out} "
-          f"(sigma range [{min(values):.6g}, {max(values):.6g}])")
+    print(f"wrote {values.size} grid points to {args.out} "
+          f"(sigma range [{values.min():.6g}, {values.max():.6g}])")
     return EXIT_OK
 
 
@@ -277,13 +275,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         x0 = _parse_x0(args.x0, system.N * system.n)
         result = simulate(system, x0, args.t_end, args.dt)
         report["diverged"] = result.diverged
-        report["final_norm"] = float(np.linalg.norm(result.final.x))
-        report["final_time"] = result.final.t
+        report["final_norm"] = float(np.linalg.norm(result.x[-1]))
+        report["final_time"] = float(result.t[-1])
         if args.out:
             header = "t," + ",".join(f"x_{i + 1}" for i in range(system.N * system.n))
             lines = [header]
-            lines += [_fmt(s.t) + "," + ",".join(_fmt(v) for v in s.x)
-                      for s in result.states]
+            # row by row: one .tolist() of the whole trajectory would hold
+            # every entry as a Python float at once
+            lines += [f"{t}," + ",".join(map(str, x.tolist()))
+                      for t, x in zip(result.t.tolist(), result.x)]
             _atomic_write(args.out, "\n".join(lines) + "\n")
 
     _print_report(report)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadParameter, Infeasible, NoStableInterval, NonNormalNetwork, NumericalFailure, TimedOut
 from .graphs import Network, make_network, spectrum
-from .model import PlantModel, matching_gain
+from .model import PlantModel, _frozen, matching_gain
 from .msf import StableInterval, stable_interval
 from .verify import build_closed_loop, spectral_verdict
 
@@ -67,12 +67,6 @@ class SweepRow:
     weighted_norm: float
     matching_norm: float
     status: str
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.flags.writeable = False
-    return out
 
 
 def _require_normal(network: Network) -> None:

@@ -14,14 +14,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BadParameter, NumericalFailure
+from .model import _frozen
 
 _SYM_TOL = 1e-12
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -88,23 +83,22 @@ def make_network(kind: str, N: int, *, k: int | None = None, p: float | None = N
             raise BadParameter(f"ring degree k must be even, got {k}")
         if not 0 < k < N:
             raise BadParameter(f"ring degree k must satisfy 0 < k < N, got k={k}, N={N}")
+        nodes = np.arange(N)[:, None]
+        offsets = np.arange(1, k // 2 + 1)
         a = np.zeros((N, N))
-        for i in range(N):
-            for d in range(1, k // 2 + 1):
-                a[i, (i + d) % N] = 1.0
-                a[i, (i - d) % N] = 1.0
+        a[nodes, (nodes + np.concatenate((offsets, -offsets))) % N] = 1.0
         tag = f"ring-regular({k})"
     elif kind == "er":
         if p is None or not 0.0 <= p <= 1.0:
             raise BadParameter(f"er network requires p in [0, 1], got {p}")
         if seed is None:
             raise BadParameter("er network requires an explicit seed")
-        rng = np.random.default_rng(seed)
+        # one uniform draw per pair i < j, pairs in row-major order: a seed
+        # names the same network as long as this draw order is kept
+        rows, cols = np.triu_indices(N, 1)
+        keep = np.random.default_rng(seed).random(rows.size) < p
         a = np.zeros((N, N))
-        for i in range(N):
-            for j in range(i + 1, N):
-                if rng.random() < p:
-                    a[i, j] = a[j, i] = 1.0
+        a[rows[keep], cols[keep]] = a[cols[keep], rows[keep]] = 1.0
         tag = f"erdos-renyi({p}, {seed})"
     else:
         raise BadParameter(f"unknown network kind {kind!r}")

@@ -19,7 +19,7 @@ MODEL_KEYS = ("D", "R", "H", "K", "L")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+    out = np.array(a)
     out.flags.writeable = False
     return out
 

@@ -26,15 +26,6 @@ _NEAR_REAL = 1e-4
 
 
 @dataclass(frozen=True)
-class MsfPoint:
-    """One evaluation of the stability function."""
-
-    lam: complex
-    mu: complex
-    sigma: float
-
-
-@dataclass(frozen=True)
 class StableInterval:
     """Maximal interval of the real mu axis with sigma(lam, mu) < 0.
 
@@ -59,23 +50,32 @@ class StableInterval:
         return min(abs(self.lower), abs(self.upper))
 
 
-def sigma(model: PlantModel, lam: complex, mu: complex) -> float:
-    """Largest real part among the eigenvalues of F + lam*H + mu*G."""
-    block = model.F + lam * model.H + mu * model.G
+def sigma(model: PlantModel, lam: complex, mu: complex) -> float | np.ndarray:
+    """Largest real part among the eigenvalues of F + lam*H + mu*G.
+
+    Broadcasts over array ``lam`` and ``mu`` with one stacked eigensolve;
+    scalars give a float."""
     try:
-        eigenvalues = np.linalg.eigvals(block)
+        eigenvalues = np.linalg.eigvals(_blocks(model, lam, mu))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue computation failed at "
                                f"lambda={lam}, mu={mu}: {exc}") from exc
-    return float(np.max(eigenvalues.real))
+    values = eigenvalues.real.max(axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
-def sigma_grid(model: PlantModel, lambda_range, mu_range, steps) -> list[MsfPoint]:
+def _blocks(model: PlantModel, lam, mu) -> np.ndarray:
+    """F + lam*H + mu*G, stacked over the broadcast shape of lam and mu."""
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    return model.F + lam[..., None, None] * model.H + mu[..., None, None] * model.G
+
+
+def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
     """Evaluate sigma over a real (lambda, mu) rectangle.
 
     ``steps`` is an int applied to both axes or a (lambda_steps, mu_steps)
-    pair; at least 2 per axis.  Points come back row-major with lambda as
-    the outer axis, each computed by the same evaluator as :func:`sigma`.
+    pair; at least 2 per axis.  Returns ``(lams, mus, values)`` with
+    ``values[i, j] = sigma(model, lams[i], mus[j])``.
     """
     lam_lo, lam_hi = _finite_range("lambda_range", lambda_range)
     mu_lo, mu_hi = _finite_range("mu_range", mu_range)
@@ -88,15 +88,7 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps) -> list[MsfPoin
 
     lams = np.linspace(lam_lo, lam_hi, lam_steps)
     mus = np.linspace(mu_lo, mu_hi, mu_steps)
-    points = []
-    for lam in lams:
-        for mu in mus:
-            try:
-                points.append(MsfPoint(lam, mu, sigma(model, lam, mu)))
-            except NumericalFailure as exc:
-                raise NumericalFailure(
-                    f"grid point (lambda={lam}, mu={mu}): {exc}") from exc
-    return points
+    return lams, mus, sigma(model, lams[:, None], mus[None, :])
 
 
 def stable_interval(model: PlantModel, lam: complex,
@@ -120,8 +112,12 @@ def stable_interval(model: PlantModel, lam: complex,
     roots = _sign_change_candidates(model, complex(lam))
     inside = roots[(roots > mu_lo) & (roots < mu_hi)]
     cuts = np.unique(np.concatenate(([mu_lo], inside, [mu_hi])))
-    stable = [_segment_stable(model, lam, 0.5 * (a + b))
-              for a, b in zip(cuts[:-1], cuts[1:])]
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    # sigma must clear the rounding error of its own eigensolve, so a
+    # boundary grazing a range end cannot leave a stable sliver behind
+    norms = np.linalg.norm(_blocks(model, lam, mids), 2, axis=(-2, -1))
+    floor = model.n * np.finfo(float).eps * np.maximum(1.0, norms)
+    stable = sigma(model, lam, mids) < -floor
     # a run of stable segments a..b-1 merges into [cuts[a], cuts[b]]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
     candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]),
@@ -168,14 +164,6 @@ def _bialternate(M: np.ndarray) -> np.ndarray:
     eye = np.eye(M.shape[0])
     return (M[np.ix_(r, r)] * eye[np.ix_(s, s)] + eye[np.ix_(r, r)] * M[np.ix_(s, s)]
             - M[np.ix_(r, s)] * eye[np.ix_(s, r)] - eye[np.ix_(r, s)] * M[np.ix_(s, r)])
-
-
-def _segment_stable(model: PlantModel, lam: complex, mu: float) -> bool:
-    # sigma must clear the rounding error of its own eigensolve, so a
-    # boundary grazing a range end cannot leave a stable sliver behind
-    block = model.F + lam * model.H + mu * model.G
-    floor = block.shape[0] * np.finfo(float).eps * max(1.0, np.linalg.norm(block, 2))
-    return sigma(model, lam, mu) < -floor
 
 
 def _finite_range(name: str, value) -> tuple[float, float]:

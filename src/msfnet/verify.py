@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure
 from .graphs import Network, custom_network, make_network, spectrum
 from .model import PlantModel
+from .msf import _blocks
 
 #: Trajectory norm beyond which integration stops and reports divergence.
 DIVERGENCE_LIMIT = 1e12
@@ -27,7 +28,9 @@ DIVERGENCE_LIMIT = 1e12
 def _adjacency(network) -> np.ndarray:
     if isinstance(network, Network):
         return network.adjacency
-    a = np.asarray(network, dtype=np.float64)
+    a = np.asarray(network)
+    if not np.iscomplexobj(a):
+        a = a.astype(np.float64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"adjacency must be square, got shape {a.shape}")
     return a
@@ -43,19 +46,12 @@ class ClosedLoopSystem:
 
 
 @dataclass(frozen=True)
-class SimState:
-    t: float
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimulationResult:
-    states: tuple[SimState, ...]
-    diverged: bool
+    """Sample times ``t`` (steps,) and states ``x`` (steps, N*n); x[k] is at t[k]."""
 
-    @property
-    def final(self) -> SimState:
-        return self.states[-1]
+    t: np.ndarray
+    x: np.ndarray
+    diverged: bool
 
 
 class Verdict(NamedTuple):
@@ -65,7 +61,7 @@ class Verdict(NamedTuple):
 
 @dataclass(frozen=True)
 class StabilityProbability:
-    """Monte Carlo estimate with a 95% normal-approximation interval."""
+    """Monte Carlo estimate with a 95% Wilson score interval."""
 
     fraction: float
     ci_low: float
@@ -118,16 +114,10 @@ def spectrum_union_check(model: PlantModel, plant_network, mode_gains) -> float:
             f"mode_gains has length {mu.shape[0]}, expected {B.shape[0]}")
 
     Q = decomposition.Q.astype(np.complex128)
-    A = Q @ np.diag(mu) @ Q.conj().T
-    Ftilde = (np.kron(np.eye(B.shape[0]), model.F)
-              + np.kron(B.astype(np.complex128), model.H)
-              + np.kron(A, model.G))
+    system = build_closed_loop(model, B, Q @ np.diag(mu) @ Q.conj().T)
     try:
-        full = np.linalg.eigvals(Ftilde)
-        blocks = np.concatenate([
-            np.linalg.eigvals(model.F + lam * model.H + m * model.G)
-            for lam, m in zip(decomposition.eigenvalues, mu)
-        ])
+        full = np.linalg.eigvals(system.Ftilde)
+        blocks = np.linalg.eigvals(_blocks(model, decomposition.eigenvalues, mu)).ravel()
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"spectrum union eigenvalues failed: {exc}") from exc
     return _greedy_match_distance(full, blocks)
@@ -181,15 +171,15 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
 
     propagator = _rk4_propagator(system.Ftilde, dt)
     n_steps = int(math.floor(t_end / dt + 1e-9))
-    states = [SimState(0.0, x.copy())]
+    trajectory = np.empty((n_steps + 1, size), dtype=np.result_type(propagator, x))
+    trajectory[0] = x
     diverged = False
     for k in range(1, n_steps + 1):
-        x = propagator @ x
-        states.append(SimState(k * dt, x.copy()))
+        trajectory[k] = x = propagator @ x
         if float(np.linalg.norm(x)) > DIVERGENCE_LIMIT:
             diverged = True
             break
-    return SimulationResult(states=tuple(states), diverged=diverged)
+    return SimulationResult(t=np.arange(k + 1) * dt, x=trajectory[:k + 1], diverged=diverged)
 
 
 def _parse_er_family(family: str) -> tuple[int, float]:
@@ -231,15 +221,22 @@ def stability_probability(model: PlantModel, family: str, trials: int,
             stable_count += bool(designer(model, network).verified)
         except (Infeasible, NoStableInterval, NumericalFailure):
             pass
-    fraction = stable_count / trials
-    half_width = 1.96 * math.sqrt(max(fraction * (1.0 - fraction), 0.0) / trials)
     return StabilityProbability(
-        fraction=fraction,
-        ci_low=max(0.0, fraction - half_width),
-        ci_high=min(1.0, fraction + half_width),
+        fraction=stable_count / trials,
+        # the upper end mirrors the lower end of the failure count, so a
+        # fraction of 0 or 1 gets an end of exactly 0 or 1
+        ci_low=_wilson_lower(stable_count, trials),
+        ci_high=1.0 - _wilson_lower(trials - stable_count, trials),
         trials=trials,
         stable_count=stable_count,
     )
+
+
+def _wilson_lower(successes: int, trials: int) -> float:
+    """Lower end of the 95% Wilson score interval (Wilson 1927), clipped at 0."""
+    z2 = 1.96 ** 2
+    spread = math.sqrt(z2 * successes * (trials - successes) / trials + z2 * z2 / 4.0)
+    return max(0.0, (successes + z2 / 2.0 - spread) / (trials + z2))
 
 
 def _resolve_designer(design_method, **kwargs):

@@ -35,8 +35,7 @@ def test_criterion_1_msf_oracle_equivalence(paper_model):
             assert abs(msfnet.sigma(paper_model, lam, mu) - expected) <= 1e-8
 
         steps = 101
-        points = msfnet.sigma_grid(paper_model, (-10.0, 10.0), (-10.0, 10.0), steps)
-        grid = np.array([p.sigma for p in points]).reshape(steps, steps)
+        _, _, grid = msfnet.sigma_grid(paper_model, (-10.0, 10.0), (-10.0, 10.0), steps)
         lams = np.linspace(-10.0, 10.0, steps)
         mus = np.linspace(-10.0, 10.0, steps)
         cell = mus[1] - mus[0]
@@ -159,12 +158,12 @@ def test_criterion_7_verdict_simulation_concordance():
                 t_end = 20.0 / abs(verdict.max_real_part)
                 result = msfnet.simulate(system, x0, t_end, dt)
                 assert not result.diverged
-                assert np.linalg.norm(result.final.x) < 1e-2 * np.linalg.norm(x0)
+                assert np.linalg.norm(result.x[-1]) < 1e-2 * np.linalg.norm(x0)
             elif verdict.max_real_part > 0.1:
                 t_end = min(20.0 / verdict.max_real_part, 200.0)
                 result = msfnet.simulate(system, x0, t_end, dt)
                 assert result.diverged or (
-                    np.linalg.norm(result.final.x) > np.linalg.norm(x0))
+                    np.linalg.norm(result.x[-1]) > np.linalg.norm(x0))
             checked += 1
 
     _criterion(7, "spectral verdicts agree with RK4 trajectories on 50 "

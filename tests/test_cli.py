@@ -67,11 +67,12 @@ def test_grid_csv_matches_library(model_cfg, tmp_path, capsys):
     assert lines[0] == "lambda,mu,sigma"
     assert len(lines) == 1 + 11 * 11
     model = msfnet.load_model_config(model_cfg)
-    points = msfnet.sigma_grid(model, (-10.0, 10.0), (-10.0, 10.0), 11)
-    for line, point in zip(lines[1:], points):
+    lams, mus, values = msfnet.sigma_grid(model, (-10.0, 10.0), (-10.0, 10.0), 11)
+    for index, line in enumerate(lines[1:]):
         lam, mu, sig = (float(v) for v in line.split(","))
-        assert (lam, mu) == (point.lam, point.mu)
-        assert sig == point.sigma  # str(float) round-trips exactly
+        i, j = divmod(index, 11)
+        assert (lam, mu) == (lams[i], mus[j])
+        assert sig == values[i, j]  # str(float) round-trips exactly
 
 
 def test_interval_csv(model_cfg, tmp_path):

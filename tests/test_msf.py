@@ -44,31 +44,42 @@ def test_sigma_conjugate_symmetry(paper_model):
 # ---------------------------------------------------------------------------
 
 def test_grid_corners_match_point_evaluations(paper_model):
-    points = msfnet.sigma_grid(paper_model, (-3.0, 3.0), (-2.0, 2.0), 2)
-    assert len(points) == 4
-    # row-major: lambda outer, mu inner
-    assert [(p.lam, p.mu) for p in points] == [
-        (-3.0, -2.0), (-3.0, 2.0), (3.0, -2.0), (3.0, 2.0)]
-    for p in points:
-        assert p.sigma == msfnet.sigma(paper_model, p.lam, p.mu)
+    lams, mus, values = msfnet.sigma_grid(paper_model, (-3.0, 3.0), (-2.0, 2.0), 2)
+    assert values.shape == (2, 2)
+    # values[i, j] pairs lams[i] with mus[j]
+    assert lams.tolist() == [-3.0, 3.0] and mus.tolist() == [-2.0, 2.0]
+    for i, lam in enumerate(lams):
+        for j, mu in enumerate(mus):
+            assert values[i, j] == msfnet.sigma(paper_model, lam, mu)
+
+    # array arguments broadcast and agree bit for bit with scalar calls,
+    # for complex lambda and for an n = 1 plant
+    one_state_plant = msfnet.build_plant_model([[-1.0]], [[1.0]], [[0.5]], [[0.2]], [[-0.7]])
+    lam = np.array([[1.0 + 2.0j], [-0.5 - 1.0j], [3.0 + 0.0j]])
+    mu = np.array([-2.0, 0.0, 0.25, 4.0])
+    for model in (paper_model, one_state_plant):
+        assert type(msfnet.sigma(model, lam[0, 0], mu[0])) is float
+        batch = msfnet.sigma(model, lam, mu)
+        assert batch.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert batch[i, j] == msfnet.sigma(model, lam[i, 0], mu[j])
 
 
 def test_grid_constant_when_uncoupled():
     m = msfnet.build_plant_model(oracles.D, oracles.R, np.zeros((2, 2)),
                                  oracles.K, np.zeros((1, 2)))
-    points = msfnet.sigma_grid(m, (-5.0, 5.0), (-5.0, 5.0), 5)
-    values = {p.sigma for p in points}
-    assert values == {msfnet.sigma(m, 0.0, 0.0)}
+    _, _, values = msfnet.sigma_grid(m, (-5.0, 5.0), (-5.0, 5.0), 5)
+    assert set(values.ravel().tolist()) == {msfnet.sigma(m, 0.0, 0.0)}
 
 
 def test_grid_zero_level_tracks_routh_line(paper_model):
     # stability boundary is mu = lam - 2; each row's sign change must
     # bracket it within one grid cell
     steps = 41
-    points = msfnet.sigma_grid(paper_model, (-10.0, 10.0), (-10.0, 10.0), steps)
+    _, _, rows = msfnet.sigma_grid(paper_model, (-10.0, 10.0), (-10.0, 10.0), steps)
     mus = np.linspace(-10.0, 10.0, steps)
     cell = mus[1] - mus[0]
-    rows = np.array([p.sigma for p in points]).reshape(steps, steps)
     lams = np.linspace(-10.0, 10.0, steps)
     checked = 0
     for lam, row in zip(lams, rows):

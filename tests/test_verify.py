@@ -122,9 +122,9 @@ def test_simulate_identity_decay():
                                       np.zeros((1, 1)), np.zeros((1, 1)))
     result = msfnet.simulate(system, np.ones(2), t_end=1.0)  # default dt
     assert not result.diverged
-    assert result.final.t == pytest.approx(1.0, abs=1e-9)
-    expected = np.sqrt(2.0) * np.exp(-result.final.t)
-    assert np.linalg.norm(result.final.x) == pytest.approx(expected, abs=1e-6)
+    assert result.t[-1] == pytest.approx(1.0, abs=1e-9)
+    expected = np.sqrt(2.0) * np.exp(-result.t[-1])
+    assert np.linalg.norm(result.x[-1]) == pytest.approx(expected, abs=1e-6)
 
 
 def test_simulate_stable_design_decays(paper_model, complete8):
@@ -135,15 +135,20 @@ def test_simulate_stable_design_decays(paper_model, complete8):
     t_end = 10.0 / abs(verdict.max_real_part)
     result = msfnet.simulate(system, np.ones(16), t_end=t_end, dt=0.05)
     assert not result.diverged
-    assert np.linalg.norm(result.final.x) < 1e-2 * np.linalg.norm(np.ones(16))
+    assert np.linalg.norm(result.x[-1]) < 1e-2 * np.linalg.norm(np.ones(16))
 
 
 def test_simulate_unstable_system_diverges():
     system = msfnet.build_closed_loop(_decoupled_model(5.0),
                                       np.zeros((1, 1)), np.zeros((1, 1)))
-    result = msfnet.simulate(system, np.ones(2), t_end=10.0, dt=0.01)
+    dt = 0.01
+    result = msfnet.simulate(system, np.ones(2), t_end=10.0, dt=dt)
     assert result.diverged
-    assert np.linalg.norm(result.final.x) > msfnet.verify.DIVERGENCE_LIMIT
+    assert np.linalg.norm(result.x[-1]) > msfnet.verify.DIVERGENCE_LIMIT
+    # the trajectory stops at the diverging step: no unwritten rows remain
+    assert len(result.t) == len(result.x)
+    assert np.isfinite(result.x).all()
+    assert result.t[-1] == (len(result.t) - 1) * dt
 
 
 def test_simulate_validates_inputs(paper_model):
@@ -162,7 +167,10 @@ def test_probability_empty_networks(paper_model):
     estimate = msfnet.stability_probability(paper_model, "er:4:0.0", trials=3, seed=0)
     assert estimate.fraction == 1.0
     assert estimate.stable_count == 3
-    assert estimate.ci_low == estimate.ci_high == 1.0
+    # Wilson score interval: at a fraction of 1 the upper end is exactly 1
+    # and the lower end is n / (n + z^2), not a degenerate [1, 1]
+    assert estimate.ci_high == 1.0
+    assert estimate.ci_low == pytest.approx(3 / (3 + 1.96**2), rel=1e-12)
 
 
 def test_probability_single_trial_is_binary(paper_model):
