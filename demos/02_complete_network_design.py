@@ -19,7 +19,7 @@ OUT.mkdir(exist_ok=True)
 
 model = msfnet.load_model_config(ROOT / "paper.cfg")
 network = msfnet.make_network("complete", 8)
-print("plant network: complete, N = 8, ||B||_F =", f"{network.frobenius_norm():.4f}")
+print("plant network: complete, N = 8, ||B||_F =", f"{np.linalg.norm(network.adjacency):.4f}")
 
 # --- weighted: one gain per plant-network mode --------------------------
 weighted = msfnet.design_weighted(model, network, (-50.0, 50.0), margin=0.01)

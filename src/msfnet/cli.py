@@ -430,7 +430,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (BadParameter, DimensionMismatch, FileNotFoundError) as exc:
+    except (BadParameter, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MsfnetError as exc:

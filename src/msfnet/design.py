@@ -105,8 +105,8 @@ def design_weighted(model: PlantModel, plant_network: Network,
     normal) plant network; raises Infeasible listing the modes that have no
     stable interval in range.
     """
-    if margin <= 0.0:
-        raise BadParameter(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < np.inf:
+        raise BadParameter(f"margin must be positive and finite, got {margin}")
     _require_normal(plant_network)
 
     decomposition = spectrum(plant_network)
@@ -209,8 +209,8 @@ def design_binary(model: PlantModel, plant_network: Network,
     link count reaches the incumbent.  Returns the incumbent with
     ``optimal=False`` if the time limit expires first.
     """
-    if time_limit <= 0.0:
-        raise BadParameter(f"time_limit must be positive, got {time_limit}")
+    if not 0.0 < time_limit < np.inf:
+        raise BadParameter(f"time_limit must be positive and finite, got {time_limit}")
     N = plant_network.size
     if N * model.n > 256:
         raise BadParameter(
@@ -300,7 +300,7 @@ def norm_sweep(model: PlantModel, family: str, n_range,
         raise BadParameter(f"n_range must be (low, high) with low <= high, got {n_range}")
     if family == "complete":
         build = lambda N: make_network("complete", N, coupling=coupling)
-    elif family.startswith("ring:"):
+    elif family.startswith("ring:") and family.count(":") == 1:
         try:
             k = int(family.split(":")[1])
         except ValueError as exc:

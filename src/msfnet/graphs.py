@@ -24,23 +24,15 @@ class Network:
     """Square adjacency matrix with structural metadata.
 
     ``kind`` is one of ``complete``, ``ring-regular(k)``,
-    ``erdos-renyi(p, seed)`` or ``custom``.
+    ``erdos-renyi(p, seed)`` or ``custom``.  ``symmetric`` holds when
+    ``||a - a^T||_F <= 1e-12 * max(1, ||a||_F)``; ``spectrum`` then uses a
+    real orthogonal eigenbasis.
     """
 
     adjacency: np.ndarray
     size: int
     kind: str
     symmetric: bool
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Number of nonzero off-diagonal couplings into each node
-        (informational only)."""
-        off = self.adjacency - np.diag(np.diag(self.adjacency))
-        return np.count_nonzero(off, axis=1)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.adjacency, "fro"))
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,8 @@ class SpectralDecomposition:
 
 def _wrap(adjacency: np.ndarray, kind: str) -> Network:
     a = np.asarray(adjacency, dtype=np.float64)
-    symmetric = bool(np.array_equal(a, a.T))
+    scale = max(1.0, float(np.linalg.norm(a, "fro")))
+    symmetric = bool(np.linalg.norm(a - a.T, "fro") <= _SYM_TOL * scale)
     return Network(adjacency=_frozen(a), size=a.shape[0], kind=kind, symmetric=symmetric)
 
 
@@ -163,59 +156,36 @@ def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
                        "(expected complete:N | ring:N:k | er:N:p:seed | file:PATH)")
 
 
-def eigenvalue_order_key(value: complex):
-    """Sort key for the fixed eigenvalue ordering: descending real part,
-    ties by descending imaginary part.  Components are rounded to 9
-    decimals so rounding noise cannot hide a genuine tie (conjugate pairs
-    in particular)."""
-    return (-round(float(np.real(value)), 9), -round(float(np.imag(value)), 9))
-
-
 def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form with the diagonal sorted by the module's
-    eigenvalue ordering, via unitary adjacent swaps."""
+    """Complex Schur form with the diagonal sorted by descending real part,
+    ties by descending imaginary part.  Both are rounded to 9 decimals so
+    rounding noise cannot hide a genuine tie (conjugate pairs in
+    particular); equal keys keep their Schur order.  LAPACK's ztrexc moves
+    each next eigenvalue into place with unitary swaps."""
     try:
         T, Q = scipy.linalg.schur(a.astype(np.complex128), output="complex")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
-    nn = T.shape[0]
-
-    def out_of_order(x: complex, y: complex) -> bool:
-        return eigenvalue_order_key(x) > eigenvalue_order_key(y)
-
-    for _ in range(nn):
-        swapped = False
-        for i in range(nn - 1):
-            d0, d1 = T[i, i], T[i + 1, i + 1]
-            if not out_of_order(d0, d1):
-                continue
-            # unitary 2x2 rotation swapping adjacent diagonal entries:
-            # first column is the block eigenvector for d1
-            t = T[i, i + 1]
-            c = np.hypot(abs(t), abs(d1 - d0))
-            u1, u2 = t / c, (d1 - d0) / c
-            rot = np.array([[u1, -np.conj(u2)], [u2, np.conj(u1)]])
-            T[:, i:i + 2] = T[:, i:i + 2] @ rot
-            T[i:i + 2, :] = rot.conj().T @ T[i:i + 2, :]
-            Q[:, i:i + 2] = Q[:, i:i + 2] @ rot
-            T[i + 1, i] = 0.0
-            swapped = True
-        if not swapped:
-            break
+    for p in range(T.shape[0] - 1):
+        rest = np.diag(T)[p:]
+        j = p + np.lexsort((-rest.imag.round(9), -rest.real.round(9)))[0]
+        if j != p:
+            T, Q, info = scipy.linalg.lapack.ztrexc(T, Q, j + 1, p + 1)
+            if info != 0:
+                raise NumericalFailure(f"Schur reordering failed (ztrexc info={info})")
     return T, Q
 
 
 def spectrum(network: Network) -> SpectralDecomposition:
     """Spectral decomposition of a network's adjacency matrix.
 
-    Symmetric matrices get a real orthogonal eigenbasis with diagonal T;
-    anything else gets an ordered complex Schur form.  Eigenvalues are
+    A network flagged ``symmetric`` gets a real orthogonal eigenbasis with
+    diagonal T; anything else gets an ordered complex Schur form.  Eigenvalues are
     sorted by descending real part, ties by descending imaginary part, so
     mode pairing is deterministic.
     """
     a = network.adjacency
-    sym_gap = np.linalg.norm(a - a.T, "fro")
-    if sym_gap <= _SYM_TOL * max(1.0, np.linalg.norm(a, "fro")):
+    if network.symmetric:
         try:
             w, v = np.linalg.eigh((a + a.T) / 2.0)
         except np.linalg.LinAlgError as exc:

@@ -44,11 +44,6 @@ class StableInterval:
     def strictly_contains_zero(self) -> bool:
         return self.lower < 0.0 < self.upper
 
-    def distance_to_origin(self) -> float:
-        if self.lower <= 0.0 <= self.upper:
-            return 0.0
-        return min(abs(self.lower), abs(self.upper))
-
 
 def sigma(model: PlantModel, lam: complex, mu: complex) -> float | np.ndarray:
     """Largest real part among the eigenvalues of F + lam*H + mu*G.

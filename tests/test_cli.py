@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,14 @@ def test_unknown_flag_is_usage_error(model_cfg):
 def test_missing_model_file(tmp_path):
     assert run_cli("design", "matching", "--model", tmp_path / "nope.cfg",
                    "--network", "complete:4") == 2
+
+
+def test_directory_or_empty_path_input(model_cfg, tmp_path, capsys):
+    assert run_cli("design", "matching", "--model", tmp_path,
+                   "--network", "complete:4") == 2
+    assert run_cli("design", "matching", "--model", model_cfg,
+                   "--network", "file:") == 2
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_bad_model_config(tmp_path):
@@ -226,7 +236,11 @@ def test_repeated_runs_are_byte_identical(model_cfg, tmp_path):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same msfnet as this process, installed or not
+    src = str(Path(msfnet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "msfnet", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert msfnet.__version__ in proc.stdout

@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("01_stability_surface.py", ["stability_surface.csv"]),
     ("04_mode_decomposition.py", []),
     ("05_time_domain.py", ["trajectory_weighted.csv"]),
+    ("03_ring_norm_sweep.py", ["ring_norm_sweep.csv"]),
+    ("06_random_network_probability.py", ["matching_probability.csv"]),
 ])
 def test_demo_runs(tmp_path, demo, outputs):
     shutil.copy(ROOT / "paper.cfg", tmp_path / "paper.cfg")

@@ -108,8 +108,9 @@ def test_weighted_rejects_non_normal_network(paper_model):
 
 
 def test_weighted_rejects_nonpositive_margin(paper_model, complete8):
-    with pytest.raises(BadParameter):
-        msfnet.design_weighted(paper_model, complete8, margin=0.0)
+    for margin in (0.0, float("nan"), float("inf")):
+        with pytest.raises(BadParameter):
+            msfnet.design_weighted(paper_model, complete8, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,13 @@ def test_binary_is_deterministic(paper_model):
     npt.assert_array_equal(a.feedback, b.feedback)
 
 
+def test_binary_rejects_bad_time_limit(paper_model):
+    net = msfnet.make_network("complete", 3)
+    for time_limit in (0.0, float("nan"), float("inf")):
+        with pytest.raises(BadParameter):
+            msfnet.design_binary(paper_model, net, time_limit=time_limit)
+
+
 def test_binary_rejects_oversized_problem(paper_model):
     with pytest.raises(BadParameter):
         msfnet.design_binary(paper_model, msfnet.make_network("complete", 200))
@@ -290,7 +298,7 @@ def test_sweep_marks_infeasible_rows(paper_model):
     assert np.isnan([r.weighted_norm for r in rows if r.status == "infeasible"]).all()
 
 
-@pytest.mark.parametrize("family", ["lattice:2", "ring:x", "ring"])
+@pytest.mark.parametrize("family", ["lattice:2", "ring:x", "ring", "ring:4:99"])
 def test_sweep_rejects_unknown_family(paper_model, family):
     with pytest.raises(BadParameter):
         msfnet.norm_sweep(paper_model, family, (4, 6))

@@ -12,7 +12,6 @@ def test_complete_adjacency(complete8):
     npt.assert_array_equal(complete8.adjacency, expected)
     assert complete8.symmetric
     assert complete8.kind == "complete"
-    npt.assert_array_equal(complete8.degrees, np.full(8, 7))
 
 
 def test_ring_on_five_nodes_with_k4_is_complete():
@@ -152,14 +151,43 @@ def test_frobenius_spectrum_identity_for_symmetric_networks():
 
 def test_schur_path_on_random_nonsymmetric_matrices():
     rng = np.random.default_rng(11)
+    cycles = [np.roll(np.eye(n), 1, axis=0) for n in range(3, 61)]
+    matrices = []
     for _ in range(20):
         n = int(rng.integers(2, 9))
         a = rng.uniform(-1.0, 1.0, (n, n))
         np.fill_diagonal(a, 0.0)
-        dec = msfnet.spectrum(msfnet.custom_network(a))
+        matrices.append(a)
+    for _ in range(20):
+        # sparse directed 0/1 networks: repeated eigenvalues and conjugate
+        # pairs, so the reordering makes many long moves
+        n = int(rng.integers(10, 61))
+        a = (rng.random((n, n)) < rng.uniform(0.03, 0.2)).astype(float)
+        np.fill_diagonal(a, 0.0)
+        a[0, 1], a[1, 0] = 1.0, 0.0  # one one-way link: never symmetric
+        matrices.append(a)
+    for _ in range(10):
+        # integer multiples of the directed cycle: scaled roots of unity
+        matrices.append(float(rng.integers(1, 6)) * cycles[int(rng.integers(0, 58))])
+    for a in matrices:
+        n = a.shape[0]
+        net = msfnet.custom_network(a)
+        assert not net.symmetric
+        dec = msfnet.spectrum(net)
         _check_decomposition(a, dec, n)
         # strictly triangular below the diagonal
         assert np.all(np.tril(dec.T, -1) == 0.0)
+
+
+def test_near_symmetric_network_takes_the_symmetric_path():
+    rng = np.random.default_rng(3)
+    a = oracles.random_symmetric_adjacency(rng, 6)
+    a[0, 1] += 1e-14
+    net = msfnet.custom_network(a)
+    assert net.symmetric
+    dec = msfnet.spectrum(net)
+    assert not np.iscomplexobj(dec.Q)
+    npt.assert_array_equal(dec.T, np.diag(np.diag(dec.T)))
 
 
 def test_directed_cycle_spectrum_ordering():

@@ -119,7 +119,6 @@ def test_interval_containing_zero(paper_model):
     assert iv.lower == pytest.approx(-3.0, abs=1e-6)
     assert iv.bounded_lower and not iv.bounded_upper
     assert iv.strictly_contains_zero()
-    assert iv.distance_to_origin() == 0.0
 
 
 def test_interval_whole_range_when_uncoupled():
