@@ -3,8 +3,9 @@
 Samples Erdos-Renyi plant networks and asks the weighted designer to
 stabilize each one.  For the reference plant every real mode admits a
 stable gain interval (mu > lambda - 2), so the design succeeds on every
-draw; the matching baseline, run on the same draws, shows how quickly
-plain replication stops working as coupling accumulates.
+draw.  The matching baseline, run on the same draws, never verifies: its
+refit gain doubles the coupling, so a mode needs lambda < 1, and any draw
+with an edge has lambda_max >= 1 (equality is marginal, not stable).
 """
 
 from pathlib import Path

@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from .design import design_binary, design_matching, design_weighted, norm_sweep
 from .errors import BadParameter, DimensionMismatch, Infeasible, MsfnetError, NoStableInterval, TimedOut
-from .graphs import adjacency_csv_text, custom_network, network_from_spec, read_adjacency_csv
+from .graphs import adjacency_csv_text, custom_network, network_from_spec
 from .model import load_model_config
 from .msf import sigma_grid, stable_interval
 from .verify import build_closed_loop, simulate, spectral_verdict, stability_probability
@@ -82,7 +82,7 @@ def _load_network(value: str, *, coupling: float = 1.0):
     """A network argument is a kind spec, a bare CSV path, or file:PATH."""
     if ":" in value:
         return network_from_spec(value, coupling=coupling)
-    return read_adjacency_csv(value)
+    return network_from_spec(f"file:{value}", coupling=coupling)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@ from .verify import build_closed_loop, spectral_verdict
 
 _NORMALITY_TOL = 1e-8
 
-#: Strictness guard for the binary feasibility test: spectra this close to
-#: the imaginary axis are rounding away from a boundary case and rejected.
-_FEASIBILITY_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class DesignResult:
@@ -203,11 +199,10 @@ def design_binary(model: PlantModel, plant_network: Network,
 
     Searches the off-diagonal binary entries (upper triangle mirrored when
     ``symmetric``), minimizing the number of ones.  A complete assignment
-    is feasible iff the full closed-loop spectrum lies strictly in the left
-    half plane (with a 1e-9 guard so boundary spectra rounded across zero
-    are not accepted); partial assignments are pruned once their committed
-    link count reaches the incumbent.  Returns the incumbent with
-    ``optimal=False`` if the time limit expires first.
+    is feasible iff ``spectral_verdict`` finds it stable; partial
+    assignments are pruned once their committed link count reaches the
+    incumbent.  Returns the incumbent with ``optimal=False`` if the time
+    limit expires first.
     """
     if not 0.0 < time_limit < np.inf:
         raise BadParameter(f"time_limit must be positive and finite, got {time_limit}")
@@ -231,7 +226,7 @@ def design_binary(model: PlantModel, plant_network: Network,
 
     def feasible(A: np.ndarray) -> tuple[bool, float]:
         verdict = spectral_verdict(build_closed_loop(model, plant_network, A))
-        return verdict.max_real_part < -_FEASIBILITY_MARGIN, verdict.max_real_part
+        return verdict.stable, verdict.max_real_part
 
     best_values: list[int] | None = None
     best_cost = np.inf

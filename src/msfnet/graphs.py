@@ -48,8 +48,11 @@ class SpectralDecomposition:
     T: np.ndarray
 
 
-def _wrap(adjacency: np.ndarray, kind: str) -> Network:
-    a = np.asarray(adjacency, dtype=np.float64)
+def _wrap(adjacency: np.ndarray, kind: str, coupling: float = 1.0) -> Network:
+    with np.errstate(all="ignore"):  # a non-finite product is rejected below
+        a = coupling * np.asarray(adjacency, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise BadParameter("adjacency contains non-finite entries (check the coupling)")
     scale = max(1.0, float(np.linalg.norm(a, "fro")))
     symmetric = bool(np.linalg.norm(a - a.T, "fro") <= _SYM_TOL * scale)
     return Network(adjacency=_frozen(a), size=a.shape[0], kind=kind, symmetric=symmetric)
@@ -95,7 +98,7 @@ def make_network(kind: str, N: int, *, k: int | None = None, p: float | None = N
         tag = f"erdos-renyi({p}, {seed})"
     else:
         raise BadParameter(f"unknown network kind {kind!r}")
-    return _wrap(coupling * a, tag)
+    return _wrap(a, tag, coupling)
 
 
 def custom_network(adjacency) -> Network:
@@ -103,8 +106,6 @@ def custom_network(adjacency) -> Network:
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadParameter(f"adjacency must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise BadParameter("adjacency contains non-finite entries")
     return _wrap(a, "custom")
 
 
@@ -148,7 +149,7 @@ def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
         if kind == "file" and len(parts) >= 2:
             network = read_adjacency_csv(spec.partition(":")[2])
             if coupling != 1.0:
-                network = _wrap(coupling * network.adjacency, "custom")
+                network = _wrap(network.adjacency, "custom", coupling)
             return network
     except ValueError as exc:
         raise BadParameter(f"bad network spec {spec!r}: {exc}") from exc

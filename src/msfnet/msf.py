@@ -65,6 +65,12 @@ def _blocks(model: PlantModel, lam, mu) -> np.ndarray:
     return model.F + lam[..., None, None] * model.H + mu[..., None, None] * model.G
 
 
+def _rounding_floor(M: np.ndarray):
+    """size*eps*max(1, ||M||_F) over the last two axes: M counts as stable only
+    when its largest real part is below minus this.  ||M||_F >= ||M||_2, no SVD."""
+    return M.shape[-1] * np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
+
+
 def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
     """Evaluate sigma over a real (lambda, mu) rectangle.
 
@@ -103,6 +109,8 @@ def stable_interval(model: PlantModel, lam: complex,
     mu_lo, mu_hi = _finite_range("search_range", search_range)
     if not mu_lo < 0.0 < mu_hi:
         raise BadParameter(f"search_range must straddle 0, got {search_range}")
+    if not np.isfinite(lam):
+        raise BadParameter(f"lambda must be finite, got {lam}")
 
     roots = _sign_change_candidates(model, complex(lam))
     inside = roots[(roots > mu_lo) & (roots < mu_hi)]
@@ -110,9 +118,7 @@ def stable_interval(model: PlantModel, lam: complex,
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     # sigma must clear the rounding error of its own eigensolve, so a
     # boundary grazing a range end cannot leave a stable sliver behind
-    norms = np.linalg.norm(_blocks(model, lam, mids), 2, axis=(-2, -1))
-    floor = model.n * np.finfo(float).eps * np.maximum(1.0, norms)
-    stable = sigma(model, lam, mids) < -floor
+    stable = sigma(model, lam, mids) < -_rounding_floor(_blocks(model, lam, mids))
     # a run of stable segments a..b-1 merges into [cuts[a], cuts[b]]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
     candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]),

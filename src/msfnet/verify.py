@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure
 from .graphs import Network, custom_network, make_network, spectrum
 from .model import PlantModel
-from .msf import _blocks
+from .msf import _blocks, _rounding_floor
 
 #: Trajectory norm beyond which integration stops and reports divergence.
 DIVERGENCE_LIMIT = 1e12
@@ -86,13 +86,14 @@ def build_closed_loop(model: PlantModel, plant_network, feedback_network) -> Clo
 
 
 def spectral_verdict(system: ClosedLoopSystem) -> Verdict:
-    """Maximum real part over the full spectrum; stable iff strictly negative."""
+    """Maximum real part over the full spectrum; stable iff below minus its rounding floor."""
     try:
         eigenvalues = np.linalg.eigvals(system.Ftilde)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"closed-loop eigenvalues failed: {exc}") from exc
     max_real = float(np.max(eigenvalues.real))
-    return Verdict(max_real_part=max_real, stable=max_real < 0.0)
+    # short-circuit: most binary-search leaves are unstable and skip the norm
+    return Verdict(max_real, max_real < 0.0 and bool(max_real < -_rounding_floor(system.Ftilde)))
 
 
 def spectrum_union_check(model: PlantModel, plant_network, mode_gains) -> float:
@@ -166,8 +167,8 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
         raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {size}")
     if dt is None:
         dt = default_time_step(system)
-    if dt <= 0.0 or t_end <= dt:
-        raise BadParameter(f"need 0 < dt < t_end, got dt={dt}, t_end={t_end}")
+    if not 0.0 < dt < t_end < np.inf:
+        raise BadParameter(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
 
     propagator = _rk4_propagator(system.Ftilde, dt)
     n_steps = int(math.floor(t_end / dt + 1e-9))

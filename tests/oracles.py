@@ -1,14 +1,16 @@
 """Independent ground truths for the test suite.
 
 Nothing here calls the library's evaluation paths: values come from the
-quadratic root formula, circulant eigenvalue sums, or brute-force
-enumeration, so they can stand as oracles for the code under test.
+quadratic root formula, circulant eigenvalue sums, brute-force
+enumeration or a Lyapunov equation, so they can stand as oracles for the
+code under test.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 # reference two-state plant used throughout (one input channel)
 D = np.array([[3.0, 5.0], [-1.0, 0.0]])
@@ -60,6 +62,29 @@ def exhaustive_binary_optimum(F, H, G, B, threshold=-1e-9):
             if best is None or cost < best:
                 best = cost
     return best
+
+
+def lyapunov_stable(M) -> bool:
+    """True when M^T P + P M = -I has a symmetric positive definite solution,
+    which holds exactly when every eigenvalue of M has negative real part.
+
+    Solves with scipy's Bartels-Stewart solver, rejects a solution whose
+    residual exceeds 1e-8 relative to ||M||_F ||P||_F, and proves P > 0 by a
+    Cholesky factorization.  Not a judge at exact marginality: there the
+    equation is singular and scipy warns.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    eye = np.eye(M.shape[0])
+    P = scipy.linalg.solve_continuous_lyapunov(M.T, -eye)
+    P = (P + P.T) / 2.0
+    residual = np.linalg.norm(M.T @ P + P @ M + eye, "fro")
+    if residual > 1e-8 * max(1.0, np.linalg.norm(M, "fro") * np.linalg.norm(P, "fro")):
+        return False
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def random_plant(rng: np.random.Generator, n: int, m: int | None = None,

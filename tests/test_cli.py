@@ -63,6 +63,36 @@ def test_bad_model_config(tmp_path):
                    "--network", "complete:4") == 2
 
 
+def test_non_finite_values_are_usage_errors(model_cfg, tmp_path, capsys):
+    k2 = tmp_path / "k2.csv"
+    k2.write_text("0,1\n1,0\n")
+    sweep = ("sweep", "norm", "--family", "ring:2", "--n", "3:4",
+             "--out", tmp_path / "sweep.csv")
+    simulate = ("verify", "--plant", "complete:2", "--feedback", "zero", "--simulate")
+    cases = [
+        (("design", "weighted", "--network", "complete:4"), "--coupling"),
+        (("design", "binary", "--network", "complete:3"), "--coupling"),
+        (("design", "matching", "--network", "complete:4"), "--coupling"),
+        (("design", "matching", "--network", k2), "--coupling"),
+        (sweep, "--coupling"),
+        (simulate, "--t-end"),
+        (simulate, "--dt"),
+        (("msf", "interval"), "--lambda"),
+        (("design", "weighted", "--network", "complete:4"), "--margin"),
+        (sweep, "--margin"),
+        (("prob", "stability", "--family", "er:4:0.5", "--trials", "2", "--seed", "1"),
+         "--margin"),
+        (("design", "binary", "--network", "complete:3"), "--time-limit"),
+    ]
+    for prefix, flag in cases:
+        for value in ("nan", "inf", "-inf"):
+            code = run_cli(*prefix, "--model", model_cfg, f"{flag}={value}")
+            err = capsys.readouterr().err
+            assert code == 2, (prefix, flag, value)
+            assert "error:" in err and "Traceback" not in err, (prefix, flag, value, err)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_bad_network_spec(model_cfg):
     assert run_cli("design", "weighted", "--model", model_cfg,
                    "--network", "blob:9") == 2
@@ -130,6 +160,23 @@ def test_design_matching_reports_norm(model_cfg, capsys):
     # replication with the refit gain doubles the coupling: unstable verdict
     assert report["verified"] is False
     assert code == 1
+
+
+def test_design_matching_marginal_two_node_network(model_cfg, tmp_path, capsys):
+    # the exact closed-loop spectrum contains +-i*sqrt(5): not verified
+    path = tmp_path / "k2.csv"
+    path.write_text("0,1\n1,0\n")
+    code = run_cli("design", "matching", "--model", model_cfg, "--network", path)
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] is False
+    assert code == 1
+    # --coupling scales a bare CSV path exactly as it scales file:PATH
+    reports = []
+    for network in (path, f"file:{path}"):
+        run_cli("design", "weighted", "--model", model_cfg, "--network", network,
+                "--coupling", "2")
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["mode_gains"] == reports[1]["mode_gains"] == [0.01, 0.0]
 
 
 def test_design_infeasible_exit(model_cfg, capsys):

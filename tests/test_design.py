@@ -113,6 +113,17 @@ def test_weighted_rejects_nonpositive_margin(paper_model, complete8):
             msfnet.design_weighted(paper_model, complete8, margin=margin)
 
 
+def test_weighted_margin_below_rounding_is_not_verified(paper_model):
+    # a margin of 1e-300 leaves every gain within rounding of the exact
+    # boundary mu = lam - 2, so no verdict may come out stable whichever way
+    # the eigensolve rounds (max real parts from -3.6e-15 to +2.3e-15)
+    for spec in ("complete:8", "ring:12:4", "ring:30:4", "complete:5"):
+        result = msfnet.design_weighted(paper_model, msfnet.network_from_spec(spec),
+                                        margin=1e-300)
+        assert result.verified is False, (spec, result.max_real_part)
+        assert abs(result.max_real_part) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # matching baseline
 # ---------------------------------------------------------------------------
@@ -145,6 +156,15 @@ def test_matching_mode_gains_are_plant_eigenvalues(paper_model, complete8):
     result = msfnet.design_matching(paper_model, complete8)
     npt.assert_allclose(np.sort(result.mode_gains), np.sort([7.0] + [-1.0] * 7),
                         atol=1e-9)
+
+
+def test_matching_on_two_node_network_is_marginal(paper_model):
+    # refit gain doubles the coupling: the modes lam = +-1 give blocks with
+    # nu = 2 and -2, and nu = 2 puts +-i*sqrt(5) on the imaginary axis
+    net = msfnet.custom_network([[0.0, 1.0], [1.0, 0.0]])
+    result = msfnet.design_matching(paper_model, net)
+    assert result.verified is False
+    assert abs(result.max_real_part) <= 1e-14
 
 
 def test_matching_stable_under_weak_coupling(paper_model):

@@ -56,6 +56,19 @@ def test_make_network_rejects_bad_parameters(kwargs):
         msfnet.make_network(**kwargs)
 
 
+def test_non_finite_adjacency_or_coupling_rejected(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_text("0,1\n1,0\n")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParameter):
+            msfnet.custom_network([[0.0, bad], [1.0, 0.0]])
+        with pytest.raises(BadParameter):
+            msfnet.make_network("ring", 6, k=2, coupling=bad)
+        for spec in ("complete:4", "er:5:0.5:1", f"file:{path}"):
+            with pytest.raises(BadParameter):
+                msfnet.network_from_spec(spec, coupling=bad)
+
+
 def test_spec_strings():
     npt.assert_array_equal(msfnet.network_from_spec("complete:5").adjacency,
                            msfnet.make_network("complete", 5).adjacency)

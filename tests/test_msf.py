@@ -141,6 +141,12 @@ def test_interval_range_must_straddle_zero(paper_model, bad_range):
         msfnet.stable_interval(paper_model, 7.0, bad_range)
 
 
+def test_interval_rejects_non_finite_lambda(paper_model):
+    for lam in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+        with pytest.raises(BadParameter):
+            msfnet.stable_interval(paper_model, lam, (-50.0, 50.0))
+
+
 @pytest.mark.parametrize("lam", [7.0, 3.0, 2.0, -1.0])
 def test_interval_soundness(paper_model, lam):
     iv = msfnet.stable_interval(paper_model, lam, (-50.0, 50.0))

@@ -157,6 +157,38 @@ def test_simulate_validates_inputs(paper_model):
         msfnet.simulate(system, np.ones(3), t_end=1.0, dt=0.1)
     with pytest.raises(BadParameter):
         msfnet.simulate(system, np.ones(2), t_end=0.05, dt=0.1)
+    for t_end, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, -np.inf),
+                      (np.nan, None), (np.inf, None)):
+        with pytest.raises(BadParameter):
+            msfnet.simulate(system, np.ones(2), t_end=t_end, dt=dt)
+
+
+def test_verdict_agrees_with_lyapunov_oracle():
+    # random closed loops, half from plants with a large upper-triangular
+    # part (strongly non-normal), each plant shifted so that the largest
+    # real part lands at +-10^U(-5, 0.5); exact marginality is kept out
+    rng = np.random.default_rng(4242)
+    checked = stable = 0
+    while checked < 400:
+        n = int(rng.integers(1, 4))
+        D, R, H, K, L = oracles.random_plant(rng, n)
+        if checked % 2:
+            D = D + rng.uniform(5.0, 40.0) * np.triu(np.ones((n, n)), 1)
+        N = int(rng.integers(2, 6))
+        B = oracles.random_symmetric_adjacency(rng, N)
+        A = rng.uniform(-1.0, 1.0, (N, N))
+        model = msfnet.build_plant_model(D, R, H, K, L)
+        top = np.linalg.eigvals(msfnet.build_closed_loop(model, B, A).Ftilde).real.max()
+        target = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 0.5)
+        model = msfnet.build_plant_model(D - (top - target) * np.eye(n), R, H, K, L)
+        system = msfnet.build_closed_loop(model, B, A)
+        verdict = msfnet.spectral_verdict(system)
+        if abs(verdict.max_real_part) < 1e-6:
+            continue
+        assert verdict.stable == oracles.lyapunov_stable(system.Ftilde), verdict
+        checked += 1
+        stable += verdict.stable
+    assert 100 <= stable <= 300  # both verdicts well represented
 
 
 # ---------------------------------------------------------------------------
