@@ -50,7 +50,5 @@ print(f"zero crossing stays within {worst:.3f} of the line mu = lambda - 2 "
 
 # the per-mode designer consumes the 1-D slices of this surface
 for lam in (7.0, 4.0, -1.0):
-    iv = msfnet.stable_interval(model, lam, (-50.0, 50.0))
-    lo = f"{iv.lower:.6g}" + ("" if iv.bounded_lower else " (range end)")
-    hi = f"{iv.upper:.6g}" + ("" if iv.bounded_upper else " (range end)")
-    print(f"stable interval at lambda = {lam:4.1f}: [{lo}, {hi}]")
+    iv = msfnet.stable_interval(model, lam)
+    print(f"stable interval at lambda = {lam:4.1f}: [{iv.lower:.6g}, {iv.upper:.6g}]")

@@ -22,7 +22,7 @@ network = msfnet.make_network("complete", 8)
 print("plant network: complete, N = 8, ||B||_F =", f"{np.linalg.norm(network.adjacency):.4f}")
 
 # --- weighted: one gain per plant-network mode --------------------------
-weighted = msfnet.design_weighted(model, network, (-50.0, 50.0), margin=0.01)
+weighted = msfnet.design_weighted(model, network, margin=0.01)
 print("\nweighted design")
 print("  mode gains:", np.round(weighted.mode_gains, 6).tolist())
 print(f"  ||A||_F = {weighted.frobenius_norm:.6f}")

@@ -29,13 +29,12 @@ print("plant network eigenvalues:",
       np.round(decomposition.eigenvalues.real, 4).tolist())
 
 # per-mode stable intervals and the minimal gains the designer would pick
-design = msfnet.design_weighted(model, network, (-50.0, 50.0), margin=0.01)
+design = msfnet.design_weighted(model, network, margin=0.01)
 print(f"\n{'lambda':>9} {'interval':>26} {'mu':>8}")
 for lam, interval, gain in zip(decomposition.eigenvalues,
                                design.intervals, design.mode_gains):
-    lo = f"{interval.lower:.4g}" if interval.bounded_lower else "<range"
-    hi = f"{interval.upper:.4g}" if interval.bounded_upper else ">range"
-    print(f"{lam.real:>9.4f} {'[' + lo + ', ' + hi + ']':>26} {gain:>8.4f}")
+    bounds = f"[{interval.lower:.4g}, {interval.upper:.4g}]"
+    print(f"{lam.real:>9.4f} {bounds:>26} {gain:>8.4f}")
 
 # the spectrum-union identity, checked two independent ways (sorting the
 # real parts avoids the conjugate-order flips that plain complex sorting

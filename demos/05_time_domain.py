@@ -17,7 +17,7 @@ OUT.mkdir(exist_ok=True)
 
 model = msfnet.load_model_config(ROOT / "paper.cfg")
 network = msfnet.make_network("complete", 8)
-design = msfnet.design_weighted(model, network, (-50.0, 50.0), margin=0.01)
+design = msfnet.design_weighted(model, network, margin=0.01)
 
 x0 = np.random.default_rng(7).standard_normal(8 * model.n)
 

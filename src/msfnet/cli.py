@@ -42,7 +42,7 @@ EXIT_USAGE = 2
 
 # flags whose values may start with '-' (ranges like -10:10, negative
 # eigenvalues); fused with '=' so argparse does not mistake them for options
-_VALUE_FLAGS = {"--lambda", "--mu", "--range", "--n"}
+_VALUE_FLAGS = {"--lambda", "--mu", "--n"}
 
 
 def _fuse_value_flags(argv: list[str]) -> list[str]:
@@ -157,22 +157,18 @@ def _cmd_msf_grid(args: argparse.Namespace) -> int:
 
 def _cmd_msf_interval(args: argparse.Namespace) -> int:
     model = load_model_config(args.model)
-    search = _parse_range(args.range)
-    rows = ["lambda_re,lambda_im,f_l,f_u,bounded_l,bounded_u"]
+    rows = ["lambda_re,lambda_im,f_l,f_u"]
     exit_code = EXIT_OK
     for lam in args.lam:
         try:
-            iv = stable_interval(model, lam, search)
+            iv = stable_interval(model, lam)
         except NoStableInterval as exc:
             print(f"lambda={lam}: no stable interval ({exc})")
-            rows.append(f"{_fmt(lam)},0.0,nan,nan,0,0")
+            rows.append(f"{_fmt(lam)},0.0,nan,nan")
             exit_code = EXIT_VERDICT
             continue
-        sides = (f"lower {'boundary' if iv.bounded_lower else 'range end'} {iv.lower}, "
-                 f"upper {'boundary' if iv.bounded_upper else 'range end'} {iv.upper}")
-        print(f"lambda={lam}: stable mu interval [{iv.lower}, {iv.upper}] ({sides})")
-        rows.append(f"{_fmt(lam)},0.0,{_fmt(iv.lower)},{_fmt(iv.upper)},"
-                    f"{int(iv.bounded_lower)},{int(iv.bounded_upper)}")
+        print(f"lambda={lam}: stable mu interval [{iv.lower}, {iv.upper}]")
+        rows.append(f"{_fmt(lam)},0.0,{_fmt(iv.lower)},{_fmt(iv.upper)}")
     if args.out:
         _atomic_write(args.out, "\n".join(rows) + "\n")
     _write_manifest("msf interval", args, args.out)
@@ -186,8 +182,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     exit_code = EXIT_OK
     try:
         if args.method == "weighted":
-            result = design_weighted(model, network, _parse_range(args.range),
-                                     args.margin)
+            result = design_weighted(model, network, args.margin)
         elif args.method == "binary":
             result = design_binary(model, network, symmetric=args.symmetric,
                                    time_limit=args.time_limit)
@@ -231,15 +226,14 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_sweep_norm(args: argparse.Namespace) -> int:
     model = load_model_config(args.model)
     rows = norm_sweep(model, args.family, _parse_int_range(args.n),
-                      margin=args.margin, search_range=_parse_range(args.range),
-                      coupling=args.coupling)
+                      margin=args.margin, coupling=args.coupling)
     lines = ["N,weighted_norm,matching_norm,status"]
     lines += [f"{r.N},{_fmt(r.weighted_norm)},{_fmt(r.matching_norm)},{r.status}"
               for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     _write_manifest("sweep norm", args, args.out)
     bad = sum(1 for r in rows if r.status != "ok")
-    print(f"wrote {len(rows)} sweep rows to {args.out} ({bad} infeasible)")
+    print(f"wrote {len(rows)} sweep rows to {args.out} ({bad} infeasible or unverified)")
     return EXIT_VERDICT if bad else EXIT_OK
 
 
@@ -295,7 +289,7 @@ def _cmd_prob_stability(args: argparse.Namespace) -> int:
     model = load_model_config(args.model)
     estimate = stability_probability(
         model, args.family, args.trials, args.designer, seed=args.seed,
-        search_range=_parse_range(args.range), margin=args.margin)
+        margin=args.margin)
     p_value = args.family.split(":")[2]
     report = {
         "family": args.family,
@@ -323,11 +317,6 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="model config file")
 
 
-def _add_interval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--range", default="-50:50",
-                        help="mu search range low:high (default -50:50)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msfnet",
@@ -351,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(interval)
     interval.add_argument("--lambda", dest="lam", type=float, required=True,
                           action="append", help="plant eigenvalue (repeatable)")
-    _add_interval_flags(interval)
     interval.add_argument("--out", help="optional CSV output")
     interval.set_defaults(func=_cmd_msf_interval)
 
@@ -369,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         if method == "weighted":
             sub.add_argument("--margin", type=float, default=0.01,
                              help="interior stability margin (default 0.01)")
-            _add_interval_flags(sub)
         if method == "binary":
             sub.add_argument("--symmetric", action="store_true",
                              help="restrict to symmetric feedback")
@@ -385,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--n", required=True, help="inclusive size range low:high")
     norm.add_argument("--margin", type=float, default=0.01)
     norm.add_argument("--coupling", type=float, default=1.0)
-    _add_interval_flags(norm)
     norm.add_argument("--out", required=True, help="output CSV")
     norm.set_defaults(func=_cmd_sweep_norm)
 
@@ -414,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     stab.add_argument("--designer", default="weighted",
                       choices=("weighted", "binary", "matching"))
     stab.add_argument("--margin", type=float, default=0.01)
-    _add_interval_flags(stab)
     stab.add_argument("--out", help="output CSV")
     stab.set_defaults(func=_cmd_prob_stability)
 

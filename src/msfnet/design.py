@@ -92,14 +92,14 @@ def _pick_mode_gain(interval: StableInterval, margin: float) -> float:
 
 
 def design_weighted(model: PlantModel, plant_network: Network,
-                    search_range=(-50.0, 50.0), margin: float = 0.01) -> DesignResult:
+                    margin: float = 0.01) -> DesignResult:
     """Frobenius-minimal weighted feedback network.
 
     Decomposes the plant network as Q diag(lambda) Q*, finds each mode's
     stable interval, picks the minimal-magnitude gain ``margin`` inside it,
     and assembles the feedback as Q diag(mu) Q*.  Requires a symmetric (or
     normal) plant network; raises Infeasible listing the modes that have no
-    stable interval in range.
+    stable interval.
     """
     if not 0.0 < margin < np.inf:
         raise BadParameter(f"margin must be positive and finite, got {margin}")
@@ -115,7 +115,7 @@ def design_weighted(model: PlantModel, plant_network: Network,
         key = (round(float(lam.real), 12), round(float(lam.imag), 12))
         try:
             if key not in cache:
-                cache[key] = stable_interval(model, complex(lam), search_range)
+                cache[key] = stable_interval(model, complex(lam))
             intervals.append(cache[key])
         except NoStableInterval:
             intervals.append(None)
@@ -123,7 +123,7 @@ def design_weighted(model: PlantModel, plant_network: Network,
     if failed:
         described = ", ".join(f"lambda_{i + 1}={lam}" for i, lam in failed)
         raise Infeasible(
-            f"no stable interval in {search_range} for mode(s) {described}",
+            f"no stable interval for mode(s) {described}",
             failed_modes=failed)
 
     mode_gains = np.array([_pick_mode_gain(iv, margin) for iv in intervals])
@@ -282,13 +282,14 @@ def design_binary(model: PlantModel, plant_network: Network,
 
 
 def norm_sweep(model: PlantModel, family: str, n_range,
-               *, margin: float = 0.01, search_range=(-50.0, 50.0),
-               coupling: float = 1.0) -> list[SweepRow]:
+               *, margin: float = 0.01, coupling: float = 1.0) -> list[SweepRow]:
     """Weighted vs matching feedback norms across network sizes.
 
     ``family`` is ``complete`` or ``ring:k``; ``n_range`` is an inclusive
     (low, high) pair.  A size whose weighted design is infeasible yields a
-    NaN weighted norm and status ``infeasible`` instead of aborting.
+    NaN weighted norm and status ``infeasible`` instead of aborting; one
+    whose design fails its spectral check keeps its norm with status
+    ``unverified``.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
@@ -310,8 +311,9 @@ def norm_sweep(model: PlantModel, family: str, n_range,
         network = build(N)
         matching_norm = design_matching(model, network).frobenius_norm
         try:
-            weighted = design_weighted(model, network, search_range, margin)
-            rows.append(SweepRow(N, weighted.frobenius_norm, matching_norm, "ok"))
+            weighted = design_weighted(model, network, margin)
+            rows.append(SweepRow(N, weighted.frobenius_norm, matching_norm,
+                                 "ok" if weighted.verified else "unverified"))
         except Infeasible:
             rows.append(SweepRow(N, float("nan"), matching_norm, "infeasible"))
     return rows

@@ -18,8 +18,7 @@ class NumericalFailure(MsfnetError):
 
 
 class NoStableInterval(MsfnetError):
-    """No negative region of the stability function exists in the searched
-    range; enlarging the range may help."""
+    """The stability function is nonnegative on the whole real mu axis."""
 
 
 class Infeasible(MsfnetError):

@@ -29,17 +29,15 @@ _NEAR_REAL = 1e-4
 class StableInterval:
     """Maximal interval of the real mu axis with sigma(lam, mu) < 0.
 
-    A bounded side is a pencil root where sigma changes sign.  A side flagged
-    unbounded reaches the search-range end with no pencil root before it;
-    the range end is recorded as the bound, so unboundedness is relative to
-    the searched range, not proven.
+    A finite end is a pencil root where sigma changes sign; an infinite end
+    means sigma stays negative all the way.  An infinite pencil eigenvalue
+    can surface as a finite root of order 1/eps, so an end that large may
+    stand for infinity: the interval is then a subset of the true one.
     """
 
     lam: complex
     lower: float
     upper: float
-    bounded_lower: bool
-    bounded_upper: bool
 
     def strictly_contains_zero(self) -> bool:
         return self.lower < 0.0 < self.upper
@@ -92,42 +90,40 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
     return lams, mus, sigma(model, lams[:, None], mus[None, :])
 
 
-def stable_interval(model: PlantModel, lam: complex,
-                    search_range=(-50.0, 50.0)) -> StableInterval:
+def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     """Negative-sigma interval on the real mu axis nearest the origin.
 
     sigma(lam, .) can change sign only where M(mu) = F + lam*H + mu*G has
     an eigenvalue at 0 or two eigenvalues summing to 0, i.e. at the real
     roots of the pencils (M0, -G) and (bialt(M0), -bialt(G)) with
-    M0 = F + lam*H.  Those roots cut ``search_range`` into segments of
-    constant sign; one sigma evaluation at each midpoint classifies a
-    segment, adjacent stable segments merge, and the merged interval
-    minimizing distance to mu = 0 is returned (ties resolved toward the
-    negative side, then by lower endpoint).  Raises NoStableInterval when
-    no segment is stable.
+    M0 = F + lam*H.  Those roots cut the whole real line into segments of
+    constant sign, the outer two running to -inf and +inf; one sigma
+    evaluation per segment classifies it, adjacent stable segments merge,
+    and the merged interval minimizing distance to mu = 0 is returned (ties
+    resolved toward the negative side, then by lower endpoint).  Raises
+    NoStableInterval when no segment is stable.
     """
-    mu_lo, mu_hi = _finite_range("search_range", search_range)
-    if not mu_lo < 0.0 < mu_hi:
-        raise BadParameter(f"search_range must straddle 0, got {search_range}")
     if not np.isfinite(lam):
         raise BadParameter(f"lambda must be finite, got {lam}")
 
-    roots = _sign_change_candidates(model, complex(lam))
-    inside = roots[(roots > mu_lo) & (roots < mu_hi)]
-    cuts = np.unique(np.concatenate(([mu_lo], inside, [mu_hi])))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    cuts = np.concatenate(([-np.inf], np.unique(_sign_change_candidates(model, complex(lam))),
+                           [np.inf]))
+    lo, hi = cuts[:-1], cuts[1:]
+    # classify at the interior point nearest the origin, kept well inside:
+    # an infinite pencil eigenvalue can surface as a finite root near 1/eps,
+    # and a midpoint out there would drown sigma in rounding error
+    near = np.minimum(np.maximum(0.0, lo), hi)
+    step = np.minimum(0.5 * (hi - lo), np.maximum(1.0, np.abs(near)))
+    points = np.minimum(np.maximum(near, lo + step), hi - step)
     # sigma must clear the rounding error of its own eigensolve, so a
-    # boundary grazing a range end cannot leave a stable sliver behind
-    stable = sigma(model, lam, mids) < -_rounding_floor(_blocks(model, lam, mids))
+    # boundary grazing a classifying point cannot leave a stable sliver behind
+    stable = sigma(model, lam, points) < -_rounding_floor(_blocks(model, lam, points))
     # a run of stable segments a..b-1 merges into [cuts[a], cuts[b]]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
-    candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]),
-                                 bounded_lower=a > 0, bounded_upper=b < len(stable))
+    candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]))
                   for a, b in zip(edges[::2], edges[1::2])]
     if not candidates:
-        raise NoStableInterval(
-            f"sigma(lambda={lam}, mu) >= 0 over [{mu_lo}, {mu_hi}]; "
-            f"consider enlarging the range")
+        raise NoStableInterval(f"sigma(lambda={lam}, mu) >= 0 for every real mu")
     return min(candidates, key=_selection_key)
 
 

@@ -159,7 +159,8 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
     """Fixed-step classical RK4 trajectory of dx/dt = Ftilde x.
 
     Integration stops early, with ``diverged`` set, once the state norm
-    exceeds 1e12; that is evidence of instability, not an error.
+    exceeds 1e12; that is evidence of instability, not an error.  A step
+    count too large to preallocate raises BadParameter.
     """
     x = np.asarray(x0, dtype=np.float64).ravel()
     size = system.N * system.n
@@ -171,8 +172,12 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
         raise BadParameter(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
 
     propagator = _rk4_propagator(system.Ftilde, dt)
-    n_steps = int(math.floor(t_end / dt + 1e-9))
-    trajectory = np.empty((n_steps + 1, size), dtype=np.result_type(propagator, x))
+    try:
+        n_steps = int(math.floor(t_end / dt + 1e-9))
+        trajectory = np.empty((n_steps + 1, size), dtype=np.result_type(propagator, x))
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"cannot store {t_end / dt:.3g} steps of {size} states; "
+                           f"use a larger dt or a shorter t_end") from exc
     trajectory[0] = x
     diverged = False
     for k in range(1, n_steps + 1):
@@ -198,7 +203,6 @@ def _parse_er_family(family: str) -> tuple[int, float]:
 
 def stability_probability(model: PlantModel, family: str, trials: int,
                           design_method="weighted", *, seed: int,
-                          search_range=(-50.0, 50.0),
                           margin: float = 0.01) -> StabilityProbability:
     """Fraction of random plant networks the designer stabilizes.
 
@@ -212,8 +216,7 @@ def stability_probability(model: PlantModel, family: str, trials: int,
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
     N, p = _parse_er_family(family)
-    designer = _resolve_designer(design_method, search_range=search_range,
-                                 margin=margin)
+    designer = _resolve_designer(design_method, margin)
 
     stable_count = 0
     for trial in range(trials):
@@ -240,15 +243,13 @@ def _wilson_lower(successes: int, trials: int) -> float:
     return max(0.0, (successes + z2 / 2.0 - spread) / (trials + z2))
 
 
-def _resolve_designer(design_method, **kwargs):
+def _resolve_designer(design_method, margin: float):
     if callable(design_method):
         return design_method
     from . import design as design_module
 
     if design_method == "weighted":
-        return lambda model, network: design_module.design_weighted(
-            model, network, search_range=kwargs["search_range"],
-            margin=kwargs["margin"])
+        return lambda model, network: design_module.design_weighted(model, network, margin)
     if design_method == "binary":
         return lambda model, network: design_module.design_binary(model, network)
     if design_method == "matching":

@@ -12,6 +12,15 @@ def paper_model():
 
 
 @pytest.fixture(scope="session")
+def unstabilizable_model():
+    """A plant whose first state never sees the feedback (R's first row and
+    L's first column are 0) and grows at 0.22*lam - 1: no mu stabilizes a
+    mode with lam > 1/0.22."""
+    return msfnet.build_plant_model([[-1.0, 0.0], [0.0, -3.0]], [[0.0], [1.0]],
+                                    [[0.22, 0.0], [0.0, 0.0]], [[0.0, 0.0]], [[0.0, -1.0]])
+
+
+@pytest.fixture(scope="session")
 def complete8():
     return msfnet.make_network("complete", 8)
 

@@ -64,7 +64,7 @@ def test_criterion_2_matching_baseline_norm(paper_model, complete8):
 
 def test_criterion_3_weighted_complete8(paper_model, complete8):
     def body():
-        result = msfnet.design_weighted(paper_model, complete8, (-50.0, 50.0), 0.01)
+        result = msfnet.design_weighted(paper_model, complete8, 0.01)
         gains = result.mode_gains
         eigenvalues = msfnet.spectrum(complete8).eigenvalues
         assert np.count_nonzero(gains) == 1
@@ -180,7 +180,7 @@ def test_criterion_8_cli_determinism(tmp_path):
             ("msf", "grid", "--model", cfg, "--lambda", "-10:10",
              "--mu", "-10:10", "--steps", "21", "--out", tmp_path / "grid.csv"),
             ("design", "weighted", "--model", cfg, "--network", "complete:8",
-             "--margin", "0.01", "--range", "-50:50",
+             "--margin", "0.01",
              "--out", tmp_path / "A.csv", "--report", tmp_path / "report.json"),
             ("sweep", "norm", "--model", cfg, "--family", "ring:4",
              "--n", "5:8", "--out", tmp_path / "sweep.csv"),

@@ -19,10 +19,27 @@ L = -1 0
 """
 
 
+# the first state never sees the feedback and grows at 0.22*lam - 1
+UNSTABILIZABLE_TEXT = """\
+D = -1 0; 0 -3
+R = 0; 1
+H = 0.22 0; 0 0
+K = 0 0
+L = 0 -1
+"""
+
+
 @pytest.fixture()
 def model_cfg(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text(MODEL_TEXT)
+    return path
+
+
+@pytest.fixture()
+def unstabilizable_cfg(tmp_path):
+    path = tmp_path / "unstabilizable.cfg"
+    path.write_text(UNSTABILIZABLE_TEXT)
     return path
 
 
@@ -91,6 +108,21 @@ def test_non_finite_values_are_usage_errors(model_cfg, tmp_path, capsys):
             assert code == 2, (prefix, flag, value)
             assert "error:" in err and "Traceback" not in err, (prefix, flag, value, err)
     assert not (tmp_path / "sweep.csv").exists()
+    # a step count too large to preallocate (1e13 steps, 291 TiB)
+    assert run_cli(*simulate, "--model", model_cfg, "--dt=1e-12") == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err, err
+
+
+def test_range_flag_is_gone(model_cfg, tmp_path):
+    for prefix in (("msf", "interval", "--lambda", "7"),
+                   ("design", "weighted", "--network", "complete:4"),
+                   ("sweep", "norm", "--family", "ring:4", "--n", "5:6",
+                    "--out", tmp_path / "sweep.csv"),
+                   ("prob", "stability", "--family", "er:4:0.5", "--trials", "2",
+                    "--seed", "1")):
+        assert run_cli(*prefix, "--model", model_cfg, "--range", "-50:50") == 2, prefix
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_bad_network_spec(model_cfg):
@@ -118,17 +150,18 @@ def test_grid_csv_matches_library(model_cfg, tmp_path, capsys):
 def test_interval_csv(model_cfg, tmp_path):
     out = tmp_path / "iv.csv"
     code = run_cli("msf", "interval", "--model", model_cfg,
-                   "--lambda", "7", "--lambda", "-1", "--out", out)
+                   "--lambda", "7", "--lambda", "-1", "--lambda", "60", "--out", out)
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "lambda_re,lambda_im,f_l,f_u,bounded_l,bounded_u"
+    assert lines[0] == "lambda_re,lambda_im,f_l,f_u"
     row7 = lines[1].split(",")
     assert float(row7[2]) == pytest.approx(5.0, abs=1e-6)
-    assert (row7[4], row7[5]) == ("1", "0")
+    assert row7[3] == "inf"
+    assert lines[3] == "60.0,0.0,58.0,inf"  # no window caps the mu axis
 
 
-def test_interval_without_stable_region(model_cfg, tmp_path, capsys):
-    code = run_cli("msf", "interval", "--model", model_cfg, "--lambda", "60")
+def test_interval_without_stable_region(unstabilizable_cfg, tmp_path, capsys):
+    code = run_cli("msf", "interval", "--model", unstabilizable_cfg, "--lambda", "60")
     assert code == 1
     assert "no stable interval" in capsys.readouterr().out
 
@@ -138,7 +171,7 @@ def test_design_weighted_outputs(model_cfg, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = run_cli("design", "weighted", "--model", model_cfg,
                    "--network", "complete:8", "--margin", "0.01",
-                   "--range", "-50:50", "--out", out, "--report", report_path)
+                   "--out", out, "--report", report_path)
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["frobenius_norm"] == pytest.approx(5.01, abs=1e-6)
@@ -179,9 +212,9 @@ def test_design_matching_marginal_two_node_network(model_cfg, tmp_path, capsys):
     assert reports[0]["mode_gains"] == reports[1]["mode_gains"] == [0.01, 0.0]
 
 
-def test_design_infeasible_exit(model_cfg, capsys):
-    code = run_cli("design", "weighted", "--model", model_cfg,
-                   "--network", "complete:8", "--range", "-1:1")
+def test_design_infeasible_exit(unstabilizable_cfg, capsys):
+    code = run_cli("design", "weighted", "--model", unstabilizable_cfg,
+                   "--network", "complete:8")
     assert code == 1
     assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 

@@ -12,7 +12,7 @@ from msfnet.errors import BadParameter, Infeasible, NonNormalNetwork
 # ---------------------------------------------------------------------------
 
 def test_weighted_complete8(paper_model, complete8):
-    result = msfnet.design_weighted(paper_model, complete8, (-50.0, 50.0), 0.01)
+    result = msfnet.design_weighted(paper_model, complete8, 0.01)
     gains = result.mode_gains
     # only the lam = 7 mode needs feedback: mu > 5, placed at 5 + margin
     assert np.count_nonzero(gains) == 1
@@ -25,7 +25,7 @@ def test_weighted_complete8(paper_model, complete8):
 def test_weighted_ring8(paper_model, ring8):
     # circulant spectrum {4, sqrt2 x2, 0, -sqrt2 x2, -2 x2}: only lam = 4
     # exceeds the mu > lam - 2 threshold
-    result = msfnet.design_weighted(paper_model, ring8, (-50.0, 50.0), 0.01)
+    result = msfnet.design_weighted(paper_model, ring8, 0.01)
     assert np.count_nonzero(result.mode_gains) == 1
     assert result.mode_gains[0] == pytest.approx(2.01, abs=1e-6)
     assert result.frobenius_norm == pytest.approx(2.01, abs=1e-6)
@@ -92,9 +92,9 @@ def test_weighted_gain_pairing_follows_spectrum_order(paper_model, ring8):
     assert result.mode_gains[0] != 0.0
 
 
-def test_weighted_infeasible_reports_modes(paper_model, complete8):
+def test_weighted_infeasible_reports_modes(unstabilizable_model, complete8):
     with pytest.raises(Infeasible) as info:
-        msfnet.design_weighted(paper_model, complete8, (-1.0, 1.0))
+        msfnet.design_weighted(unstabilizable_model, complete8)
     assert info.value.failed_modes
     index, lam = info.value.failed_modes[0]
     assert index == 0
@@ -122,6 +122,13 @@ def test_weighted_margin_below_rounding_is_not_verified(paper_model):
                                         margin=1e-300)
         assert result.verified is False, (spec, result.max_real_part)
         assert abs(result.max_real_part) <= 1e-13
+
+
+def test_weighted_complete53_gain_past_fifty(paper_model):
+    # lam = 52 needs mu > 50; the gain sits one margin past that boundary
+    result = msfnet.design_weighted(paper_model, msfnet.make_network("complete", 53))
+    assert result.verified
+    assert result.mode_gains[0] == pytest.approx(50.01, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +315,25 @@ def test_sweep_ring5_equals_complete5(paper_model):
     assert ring_row.matching_norm == complete_row.matching_norm
 
 
-def test_sweep_marks_infeasible_rows(paper_model):
-    # complete graphs need mu > N - 3; a cap at 3 cuts off N >= 6
-    rows = msfnet.norm_sweep(paper_model, "complete", (4, 7),
-                             search_range=(-50.0, 3.0))
+def test_sweep_marks_infeasible_rows(paper_model, unstabilizable_model):
+    # complete:N has the mode lam = N - 1, past 1/0.22 from N = 6 on
+    rows = msfnet.norm_sweep(unstabilizable_model, "complete", (4, 7))
     status = {r.N: r.status for r in rows}
     assert status[4] == status[5] == "ok"
     assert status[6] == status[7] == "infeasible"
     assert np.isnan([r.weighted_norm for r in rows if r.status == "infeasible"]).all()
+    # a margin below the rounding floor gives designs that fail their own
+    # spectral check: kept with their norms, but not ok
+    rows = msfnet.norm_sweep(paper_model, "complete", (5, 8), margin=1e-300)
+    assert [r.status for r in rows] == ["unverified"] * 4
+    assert np.isfinite([r.weighted_norm for r in rows]).all()
+
+
+def test_sweep_complete_past_fifty(paper_model):
+    # complete:N needs mu > N - 3, beyond 50 from N = 54 on
+    rows = msfnet.norm_sweep(paper_model, "complete", (50, 60))
+    assert [r.status for r in rows] == ["ok"] * 11
+    assert all(r.weighted_norm < r.matching_norm for r in rows)
 
 
 @pytest.mark.parametrize("family", ["lattice:2", "ring:x", "ring", "ring:4:99"])

@@ -161,6 +161,11 @@ def test_simulate_validates_inputs(paper_model):
                       (np.nan, None), (np.inf, None)):
         with pytest.raises(BadParameter):
             msfnet.simulate(system, np.ones(2), t_end=t_end, dt=dt)
+    # 1e13 steps of 2 states (160 TB) fail to allocate at once; 1e19 steps
+    # pass numpy's dimension limit and 1e320 overflow to inf
+    for dt in (1e-13, 1e-19, 1e-320):
+        with pytest.raises(BadParameter, match="larger dt"):
+            msfnet.simulate(system, np.ones(2), t_end=1.0, dt=dt)
 
 
 def test_verdict_agrees_with_lyapunov_oracle():
