@@ -2,10 +2,10 @@
 
 Subcommands: ``msf grid``, ``msf interval``, ``design weighted|binary|matching``,
 ``sweep norm``, ``verify``, ``prob stability``.  Every file is written
-atomically (temp file + rename) and a ``run-manifest.txt`` beside the primary
-output records the full flag set and library versions, so identical
-invocations produce byte-identical artifacts.  A run without an output file
-writes no manifest.
+atomically (temp file + rename) and a ``run-manifest.txt`` beside ``--out``,
+else ``--report``, records the full flag set and library versions, so identical
+invocations produce byte-identical artifacts.  ``main`` loads the model, runs
+the handler and writes the manifest; a run that fails writes no manifest.
 
 Exit codes: 0 success; 1 infeasible/unstable verdict (outputs still
 written); 2 usage or input errors.
@@ -27,7 +27,7 @@ from . import __version__
 from .design import design_binary, design_matching, design_weighted, norm_sweep
 from .errors import BadParameter, DimensionMismatch, Infeasible, MsfnetError, NoStableInterval, TimedOut
 from .graphs import adjacency_csv_text, custom_network, network_from_spec
-from .model import load_model_config
+from .model import PlantModel, load_model_config
 from .msf import sigma_grid, stable_interval
 from .verify import build_closed_loop, simulate, spectral_verdict, stability_probability
 
@@ -58,24 +58,14 @@ def _fuse_value_flags(argv: list[str]) -> list[str]:
     return fused
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(text: str, cast=float) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
         raise BadParameter(f"range must be 'low:high', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return cast(parts[0]), cast(parts[1])
     except ValueError as exc:
-        raise BadParameter(f"range must be numeric 'low:high', got {text!r}") from exc
-
-
-def _parse_int_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise BadParameter(f"range must be 'low:high', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise BadParameter(f"range must be integer 'low:high', got {text!r}") from exc
+        raise BadParameter(f"range must be {cast.__name__} 'low:high', got {text!r}") from exc
 
 
 def _load_network(value: str, *, coupling: float = 1.0):
@@ -105,15 +95,10 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return str(float(value))
-
-
-def _write_manifest(command: str, args: argparse.Namespace, primary_out) -> None:
-    if not primary_out:
-        return
+def _write_manifest(args: argparse.Namespace, primary_out) -> None:
     directory = Path(primary_out).parent
     skip = {"func", "command", "subcommand"}
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     lines = [f"command = {command}"]
     for key in sorted(vars(args)):
         if key in skip:
@@ -126,8 +111,12 @@ def _write_manifest(command: str, args: argparse.Namespace, primary_out) -> None
     _atomic_write(directory / "run-manifest.txt", "\n".join(lines) + "\n")
 
 
-def _print_report(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+def _print_report(report: dict, path=None) -> None:
+    """Print the JSON report and, given a path, write the same text there."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
+    if path:
+        _atomic_write(path, text + "\n")
 
 
 def _gains_for_report(gains) -> list:
@@ -142,21 +131,18 @@ def _gains_for_report(gains) -> list:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_msf_grid(args: argparse.Namespace) -> int:
-    model = load_model_config(args.model)
+def _cmd_msf_grid(args: argparse.Namespace, model: PlantModel) -> int:
     lams, mus, values = sigma_grid(model, _parse_range(args.lam), _parse_range(args.mu), args.steps)
     lines = ["lambda,mu,sigma"]
     lines += [f"{lam},{mu},{value}" for lam, row in zip(lams.tolist(), values.tolist())
               for mu, value in zip(mus.tolist(), row)]
     _atomic_write(args.out, "\n".join(lines) + "\n")
-    _write_manifest("msf grid", args, args.out)
     print(f"wrote {values.size} grid points to {args.out} "
           f"(sigma range [{values.min():.6g}, {values.max():.6g}])")
     return EXIT_OK
 
 
-def _cmd_msf_interval(args: argparse.Namespace) -> int:
-    model = load_model_config(args.model)
+def _cmd_msf_interval(args: argparse.Namespace, model: PlantModel) -> int:
     rows = ["lambda_re,lambda_im,f_l,f_u"]
     exit_code = EXIT_OK
     for lam in args.lam:
@@ -164,22 +150,19 @@ def _cmd_msf_interval(args: argparse.Namespace) -> int:
             iv = stable_interval(model, lam)
         except NoStableInterval as exc:
             print(f"lambda={lam}: no stable interval ({exc})")
-            rows.append(f"{_fmt(lam)},0.0,nan,nan")
+            rows.append(f"{lam},0.0,nan,nan")
             exit_code = EXIT_VERDICT
             continue
         print(f"lambda={lam}: stable mu interval [{iv.lower}, {iv.upper}]")
-        rows.append(f"{_fmt(lam)},0.0,{_fmt(iv.lower)},{_fmt(iv.upper)}")
+        rows.append(f"{lam},0.0,{iv.lower},{iv.upper}")
     if args.out:
         _atomic_write(args.out, "\n".join(rows) + "\n")
-    _write_manifest("msf interval", args, args.out)
     return exit_code
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
-    model = load_model_config(args.model)
+def _cmd_design(args: argparse.Namespace, model: PlantModel) -> int:
     network = _load_network(args.network, coupling=args.coupling)
     report: dict = {"method": args.method, "network": args.network, "N": network.size}
-    exit_code = EXIT_OK
     try:
         if args.method == "weighted":
             result = design_weighted(model, network, args.margin)
@@ -190,10 +173,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
             result = design_matching(model, network)
     except (Infeasible, TimedOut) as exc:
         report.update(status="infeasible", detail=str(exc))
-        _print_report(report)
-        if args.report:
-            _atomic_write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        _write_manifest(f"design {args.method}", args, args.out or args.report)
+        _print_report(report, args.report)
         return EXIT_VERDICT
 
     report.update(
@@ -211,27 +191,19 @@ def _cmd_design(args: argparse.Namespace) -> int:
     if args.method == "matching":
         report["matching_residual"] = result.matching_residual
         report["matching_exact"] = result.matching_residual <= 1e-9
-    if not result.verified:
-        exit_code = EXIT_VERDICT
 
-    _print_report(report)
+    _print_report(report, args.report)
     if args.out:
         _atomic_write(args.out, adjacency_csv_text(result.feedback))
-    if args.report:
-        _atomic_write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(f"design {args.method}", args, args.out or args.report)
-    return exit_code
+    return EXIT_OK if result.verified else EXIT_VERDICT
 
 
-def _cmd_sweep_norm(args: argparse.Namespace) -> int:
-    model = load_model_config(args.model)
-    rows = norm_sweep(model, args.family, _parse_int_range(args.n),
+def _cmd_sweep_norm(args: argparse.Namespace, model: PlantModel) -> int:
+    rows = norm_sweep(model, args.family, _parse_range(args.n, int),
                       margin=args.margin, coupling=args.coupling)
     lines = ["N,weighted_norm,matching_norm,status"]
-    lines += [f"{r.N},{_fmt(r.weighted_norm)},{_fmt(r.matching_norm)},{r.status}"
-              for r in rows]
+    lines += [f"{r.N},{r.weighted_norm},{r.matching_norm},{r.status}" for r in rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")
-    _write_manifest("sweep norm", args, args.out)
     bad = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} sweep rows to {args.out} ({bad} infeasible or unverified)")
     return EXIT_VERDICT if bad else EXIT_OK
@@ -249,8 +221,7 @@ def _parse_x0(spec: str, size: int) -> np.ndarray:
     raise BadParameter(f"x0 must be 'ones' or 'random:SEED', got {spec!r}")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    model = load_model_config(args.model)
+def _cmd_verify(args: argparse.Namespace, model: PlantModel) -> int:
     plant = _load_network(args.plant)
     if args.feedback == "zero":
         feedback = custom_network(np.zeros((plant.size, plant.size)))
@@ -281,16 +252,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             _atomic_write(args.out, "\n".join(lines) + "\n")
 
     _print_report(report)
-    _write_manifest("verify", args, args.out)
     return EXIT_OK if verdict.stable else EXIT_VERDICT
 
 
-def _cmd_prob_stability(args: argparse.Namespace) -> int:
-    model = load_model_config(args.model)
+def _cmd_prob_stability(args: argparse.Namespace, model: PlantModel) -> int:
     estimate = stability_probability(
         model, args.family, args.trials, args.designer, seed=args.seed,
         margin=args.margin)
-    p_value = args.family.split(":")[2]
+    p_value = float(args.family.split(":")[2])
     report = {
         "family": args.family,
         "trials": estimate.trials,
@@ -302,20 +271,15 @@ def _cmd_prob_stability(args: argparse.Namespace) -> int:
     _print_report(report)
     if args.out:
         lines = ["p,trials,stable_fraction,ci_low,ci_high",
-                 f"{p_value},{estimate.trials},{_fmt(estimate.fraction)},"
-                 f"{_fmt(estimate.ci_low)},{_fmt(estimate.ci_high)}"]
+                 f"{p_value},{estimate.trials},{estimate.fraction},"
+                 f"{estimate.ci_low},{estimate.ci_high}"]
         _atomic_write(args.out, "\n".join(lines) + "\n")
-    _write_manifest("prob stability", args, args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_model(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="model config file")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -324,20 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "for networks of identical LTI plants.")
     parser.add_argument("--version", action="version", version=f"msfnet {__version__}")
     top = parser.add_subparsers(dest="command", metavar="COMMAND")
+    with_model = argparse.ArgumentParser(add_help=False)
+    with_model.add_argument("--model", required=True, help="model config file")
 
     msf = top.add_parser("msf", help="stability function evaluation")
     msf_sub = msf.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    grid = msf_sub.add_parser("grid", help="evaluate sigma over a (lambda, mu) grid")
-    _add_model(grid)
+    grid = msf_sub.add_parser("grid", parents=[with_model],
+                              help="evaluate sigma over a (lambda, mu) grid")
     grid.add_argument("--lambda", dest="lam", required=True, help="lambda range low:high")
     grid.add_argument("--mu", required=True, help="mu range low:high")
     grid.add_argument("--steps", type=int, default=101, help="grid steps per axis")
     grid.add_argument("--out", required=True, help="output CSV (lambda,mu,sigma)")
     grid.set_defaults(func=_cmd_msf_grid)
 
-    interval = msf_sub.add_parser("interval", help="stable mu interval per mode")
-    _add_model(interval)
+    interval = msf_sub.add_parser("interval", parents=[with_model],
+                                  help="stable mu interval per mode")
     interval.add_argument("--lambda", dest="lam", type=float, required=True,
                           action="append", help="plant eigenvalue (repeatable)")
     interval.add_argument("--out", help="optional CSV output")
@@ -346,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     design = top.add_parser("design", help="synthesize a feedback network")
     design_sub = design.add_subparsers(dest="subcommand", metavar="METHOD")
     for method in ("weighted", "binary", "matching"):
-        sub = design_sub.add_parser(method, help=f"{method} design")
-        _add_model(sub)
+        sub = design_sub.add_parser(method, parents=[with_model], help=f"{method} design")
         sub.add_argument("--network", required=True,
                          help="plant network: complete:N | ring:N:k | er:N:p:seed | CSV path")
         sub.add_argument("--coupling", type=float, default=1.0,
@@ -366,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = top.add_parser("sweep", help="design comparisons over network size")
     sweep_sub = sweep.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    norm = sweep_sub.add_parser("norm", help="weighted vs matching Frobenius norms")
-    _add_model(norm)
+    norm = sweep_sub.add_parser("norm", parents=[with_model],
+                                help="weighted vs matching Frobenius norms")
     norm.add_argument("--family", required=True, help="complete | ring:k")
     norm.add_argument("--n", required=True, help="inclusive size range low:high")
     norm.add_argument("--margin", type=float, default=0.01)
@@ -375,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--out", required=True, help="output CSV")
     norm.set_defaults(func=_cmd_sweep_norm)
 
-    verify = top.add_parser("verify", help="full-spectrum verdict for given networks")
-    _add_model(verify)
+    verify = top.add_parser("verify", parents=[with_model],
+                            help="full-spectrum verdict for given networks")
     verify.add_argument("--plant", required=True, help="plant network spec or CSV path")
     verify.add_argument("--feedback", required=True,
                         help="feedback network spec, CSV path, or 'zero'")
@@ -391,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prob = top.add_parser("prob", help="Monte Carlo studies")
     prob_sub = prob.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    stab = prob_sub.add_parser("stability", help="stability probability over random networks")
-    _add_model(stab)
+    stab = prob_sub.add_parser("stability", parents=[with_model],
+                               help="stability probability over random networks")
     stab.add_argument("--family", required=True, help="er:N:p")
     stab.add_argument("--trials", type=int, required=True)
     stab.add_argument("--seed", type=int, required=True,
@@ -414,7 +379,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args, load_model_config(args.model))
+        primary = args.out or getattr(args, "report", None)
+        if primary:
+            _write_manifest(args, primary)
+        return code
     except (BadParameter, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

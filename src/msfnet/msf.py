@@ -65,28 +65,27 @@ def _blocks(model: PlantModel, lam, mu) -> np.ndarray:
 
 def _rounding_floor(M: np.ndarray):
     """size*eps*max(1, ||M||_F) over the last two axes: M counts as stable only
-    when its largest real part is below minus this.  ||M||_F >= ||M||_2, no SVD."""
-    return M.shape[-1] * np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
+    when its largest real part is below minus this.  ||M||_F >= ||M||_2, no SVD.
+    Entries are divided by max(1, largest |entry|) first, so squares cannot overflow."""
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    norm = scale * np.linalg.norm(M / scale[..., None, None], axis=(-2, -1))
+    return M.shape[-1] * np.finfo(float).eps * np.maximum(1.0, norm)
 
 
 def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
     """Evaluate sigma over a real (lambda, mu) rectangle.
 
-    ``steps`` is an int applied to both axes or a (lambda_steps, mu_steps)
-    pair; at least 2 per axis.  Returns ``(lams, mus, values)`` with
-    ``values[i, j] = sigma(model, lams[i], mus[j])``.
+    ``steps`` is the number of points per axis, at least 2.  Returns
+    ``(lams, mus, values)`` with ``values[i, j] = sigma(model, lams[i], mus[j])``.
     """
     lam_lo, lam_hi = _finite_range("lambda_range", lambda_range)
     mu_lo, mu_hi = _finite_range("mu_range", mu_range)
-    if isinstance(steps, (tuple, list)):
-        lam_steps, mu_steps = int(steps[0]), int(steps[1])
-    else:
-        lam_steps = mu_steps = int(steps)
-    if lam_steps < 2 or mu_steps < 2:
+    steps = int(steps)
+    if steps < 2:
         raise BadParameter(f"steps must be >= 2 per axis, got {steps}")
 
-    lams = np.linspace(lam_lo, lam_hi, lam_steps)
-    mus = np.linspace(mu_lo, mu_hi, mu_steps)
+    lams = np.linspace(lam_lo, lam_hi, steps)
+    mus = np.linspace(mu_lo, mu_hi, steps)
     return lams, mus, sigma(model, lams[:, None], mus[None, :])
 
 

@@ -166,6 +166,15 @@ def test_interval_without_stable_region(unstabilizable_cfg, tmp_path, capsys):
     assert "no stable interval" in capsys.readouterr().out
 
 
+def test_interval_at_huge_lambda_does_not_overflow(model_cfg, capsys):
+    # blocks with entries ~1e200: a Frobenius norm of the raw entries overflows
+    code = run_cli("msf", "interval", "--model", model_cfg, "--lambda", "1e200")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "no stable interval" in captured.out
+    assert captured.err == ""
+
+
 def test_design_weighted_outputs(model_cfg, tmp_path, capsys):
     out = tmp_path / "A.csv"
     report_path = tmp_path / "report.json"
@@ -275,16 +284,17 @@ def test_verify_with_simulation(model_cfg, tmp_path, capsys):
 
 def test_prob_stability_csv(model_cfg, tmp_path, capsys):
     out = tmp_path / "prob.csv"
-    code = run_cli("prob", "stability", "--model", model_cfg, "--family",
-                   "er:5:0.5", "--trials", "6", "--seed", "11", "--out", out)
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "p,trials,stable_fraction,ci_low,ci_high"
-    fields = lines[1].split(",")
-    assert fields[0] == "0.5"
-    assert int(fields[1]) == 6
-    assert float(fields[2]) == report["stable_fraction"]
+    for family in ("er:5:0.5", "er:5:.5"):
+        code = run_cli("prob", "stability", "--model", model_cfg, "--family",
+                       family, "--trials", "6", "--seed", "11", "--out", out)
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "p,trials,stable_fraction,ci_low,ci_high"
+        fields = lines[1].split(",")
+        assert fields[0] == "0.5", family  # str(float(p)), not the text as typed
+        assert int(fields[1]) == 6
+        assert float(fields[2]) == report["stable_fraction"]
 
 
 def test_prob_stability_requires_seed(model_cfg):
@@ -301,6 +311,51 @@ def test_manifest_records_flags_and_versions(model_cfg, tmp_path):
     assert "flag.steps = 3" in manifest
     assert f"version.msfnet = {msfnet.__version__}" in manifest
     assert f"version.numpy = {np.__version__}" in manifest
+
+
+def test_manifest_beside_out_else_report(model_cfg, unstabilizable_cfg, tmp_path,
+                                         monkeypatch, capsys):
+    model = ("--model", model_cfg)
+    cases = [  # (argv, exit code, manifest directory or None for no manifest)
+        (("msf", "grid", *model, "--lambda", "-1:1", "--mu", "-1:1", "--steps", "2",
+          "--out", "g/grid.csv"), 0, "g"),
+        (("msf", "interval", *model, "--lambda", "7", "--out", "iv.csv"), 0, "."),
+        (("msf", "interval", *model, "--lambda", "7"), 0, None),
+        (("design", "weighted", *model, "--network", "complete:4",
+          "--out", "a/A.csv", "--report", "r/r.json"), 0, "a"),
+        (("design", "matching", *model, "--network", "complete:4",
+          "--report", "r/r.json"), 1, "r"),
+        (("design", "weighted", "--model", unstabilizable_cfg, "--network", "complete:8",
+          "--report", "r/r.json"), 1, "r"),
+        (("design", "binary", *model, "--network", "ring:4:2", "--symmetric",
+          "--out", "b/B.csv"), 0, "b"),
+        (("design", "weighted", *model, "--network", "complete:4"), 0, None),
+        (("design", "weighted", *model, "--network", "blob:9",
+          "--out", "a/A.csv", "--report", "r/r.json"), 2, None),
+        (("sweep", "norm", *model, "--family", "ring:4", "--n", "5:6",
+          "--out", "s/sweep.csv"), 0, "s"),
+        (("sweep", "norm", *model, "--family", "ring:4", "--n", "5:6", "--margin", "nan",
+          "--out", "s/sweep.csv"), 2, None),
+        (("verify", *model, "--plant", "complete:4", "--feedback", "zero",
+          "--out", "v/traj.csv"), 1, "v"),
+        (("prob", "stability", *model, "--family", "er:4:0.5", "--trials", "2",
+          "--seed", "1", "--out", "p/prob.csv"), 0, "p"),
+        (("prob", "stability", *model, "--family", "er:4:0.5", "--trials", "2",
+          "--seed", "1"), 0, None),
+    ]
+    for index, (argv, code, where) in enumerate(cases):
+        case = tmp_path / f"case{index}"
+        case.mkdir()
+        monkeypatch.chdir(case)
+        assert run_cli(*argv) == code, argv
+        capsys.readouterr()
+        manifests = sorted(case.rglob("run-manifest.txt"))
+        if where is None:
+            assert manifests == [], argv
+            continue
+        assert manifests == [case / where / "run-manifest.txt"], argv
+        command = "verify" if argv[0] == "verify" else " ".join(argv[:2])
+        assert manifests[0].read_text().splitlines()[0] == f"command = {command}"
 
 
 def test_repeated_runs_are_byte_identical(model_cfg, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import msfnet
 import oracles
 from msfnet.errors import BadParameter, NoStableInterval
+from msfnet.msf import _rounding_floor
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,12 @@ def test_grid_zero_level_tracks_routh_line(paper_model):
         assert mus[k] - cell <= lam - 2.0 <= mus[k + 1] + cell
         checked += 1
     assert checked > 0
+
+
+def test_rounding_floor_of_zero_and_huge_blocks():
+    eps = np.finfo(float).eps
+    blocks = np.stack([np.zeros((2, 2)), np.full((2, 2), 1e200)])
+    npt.assert_allclose(_rounding_floor(blocks), [2 * eps, 2 * eps * 2e200], rtol=1e-15)
 
 
 def test_grid_rejects_bad_steps(paper_model):
