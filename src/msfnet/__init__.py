@@ -32,7 +32,7 @@ from .graphs import (
     read_adjacency_csv,
     spectrum,
 )
-from .model import PlantModel, build_plant_model, load_model_config, matching_defect, matching_gain
+from .model import PlantModel, build_plant_model, load_model_config, matching_gain
 from .msf import StableInterval, sigma, sigma_grid, stable_interval
 from .verify import (
     ClosedLoopSystem,
@@ -59,7 +59,6 @@ __all__ = [
     "TimedOut",
     "PlantModel",
     "build_plant_model",
-    "matching_defect",
     "matching_gain",
     "load_model_config",
     "Network",

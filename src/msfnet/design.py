@@ -24,9 +24,11 @@ from .errors import BadParameter, Infeasible, NoStableInterval, NonNormalNetwork
 from .graphs import Network, make_network, spectrum
 from .model import PlantModel, _frozen, matching_gain
 from .msf import StableInterval, stable_interval
-from .verify import build_closed_loop, spectral_verdict
+from .verify import _verdicts, build_closed_loop, spectral_verdict
 
 _NORMALITY_TOL = 1e-8
+#: Memory budget of one batch of binary-search leaves.
+_BATCH_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,17 @@ def _branch_entries(plant_network: Network, symmetric: bool) -> list[tuple[int, 
     return entries
 
 
+def _link_stack(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, N: int,
+                symmetric: bool) -> np.ndarray:
+    """Binary feedback stack (k, N, N) putting bits[:, e] at (rows[e], cols[e]),
+    mirrored when ``symmetric``."""
+    A = np.zeros((len(bits), N, N))
+    A[:, rows, cols] = bits
+    if symmetric:
+        A[:, cols, rows] = bits
+    return A
+
+
 def design_binary(model: PlantModel, plant_network: Network,
                   symmetric: bool = True,
                   time_limit: float = 60.0) -> DesignResult:
@@ -199,10 +212,14 @@ def design_binary(model: PlantModel, plant_network: Network,
 
     Searches the off-diagonal binary entries (upper triangle mirrored when
     ``symmetric``), minimizing the number of ones.  A complete assignment
-    is feasible iff ``spectral_verdict`` finds it stable; partial
-    assignments are pruned once their committed link count reaches the
-    incumbent.  Returns the incumbent with ``optimal=False`` if the time
-    limit expires first.
+    is feasible iff ``spectral_verdict``'s rule finds it stable.  The search
+    is depth first with the 1-branch first, so of the cheapest feasible
+    assignments it returns the first in that order; a prefix is pruned once
+    its committed link count reaches the incumbent.  The last levels are
+    checked in batches: a prefix's completions cheaper than the incumbent
+    are built as one stack and solved with one stacked eigensolve.  The
+    time limit is checked between batches; when it expires first, the
+    incumbent comes back with ``optimal=False``.
     """
     if not 0.0 < time_limit < np.inf:
         raise BadParameter(f"time_limit must be positive and finite, got {time_limit}")
@@ -213,53 +230,61 @@ def design_binary(model: PlantModel, plant_network: Network,
     deadline = time.monotonic() + time_limit
 
     entries = _branch_entries(plant_network, symmetric)
+    E = len(entries)
+    rows, cols = np.array(entries, dtype=np.intp).reshape(E, 2).T
     per_entry = 2 if symmetric else 1  # objective counts directed entries
 
-    def assemble(values: list[int]) -> np.ndarray:
-        A = np.zeros((N, N))
-        for (i, j), v in zip(entries, values):
-            if v:
-                A[i, j] = 1.0
-                if symmetric:
-                    A[j, i] = 1.0
-        return A
+    # the last t entries are enumerated per batch, 2^t closed loops of
+    # (N*n)^2 doubles each in about _BATCH_BYTES
+    t = min(E, (_BATCH_BYTES // (8 * (N * model.n) ** 2)).bit_length() - 1)
+    # completions in visiting order: all ones first, the last entry flipping first
+    tails = (np.arange(2 ** t - 1, -1, -1)[:, None] >> np.arange(t - 1, -1, -1)) & 1
+    tail_costs = per_entry * tails.sum(axis=1)
+    tails = tails.astype(float)
 
-    def feasible(A: np.ndarray) -> tuple[bool, float]:
-        verdict = spectral_verdict(build_closed_loop(model, plant_network, A))
-        return verdict.stable, verdict.max_real_part
-
-    best_values: list[int] | None = None
+    best_bits: np.ndarray | None = None
     best_cost = np.inf
     best_max_real = np.inf
 
     # seed the incumbent with the complete feedback graph when it works
-    complete = [1] * len(entries)
-    ok, max_real = feasible(assemble(complete))
-    complete_feasible = ok
-    if ok:
-        best_values, best_cost, best_max_real = complete, len(entries) * per_entry, max_real
+    complete = _link_stack(np.ones((1, E)), rows, cols, N, symmetric)
+    max_real, stable = _verdicts(build_closed_loop(model, plant_network, complete).Ftilde)
+    complete_feasible = bool(stable[0])
+    if complete_feasible:
+        best_bits, best_cost, best_max_real = np.ones(E), E * per_entry, float(max_real[0])
 
     timed_out = False
-    stack: list[tuple[int, list[int], int]] = [(0, [], 0)]
+    # prefix[:depth - 1] holds a popped node's ancestors: the stack is LIFO
+    prefix = np.zeros(E - t)
+    stack: list[tuple[int, int, int]] = [(0, 0, 0)]  # (depth, bit, committed)
     while stack:
         if time.monotonic() > deadline:
             timed_out = True
             break
-        depth, values, committed = stack.pop()
+        depth, bit, committed = stack.pop()
+        if depth:
+            prefix[depth - 1] = bit
         if committed >= best_cost:
             continue
-        if depth == len(entries):
-            ok, max_real = feasible(assemble(values))
-            if ok and committed < best_cost:
-                best_values, best_cost, best_max_real = values, committed, max_real
+        if depth < E - t:
+            # the 1-branch pops first, so the search walks down from
+            # link-rich (likely feasible) assignments and the incumbent keeps
+            # improving even when the time limit cuts the search short
+            stack.append((depth + 1, 0, committed))
+            stack.append((depth + 1, 1, committed + per_entry))
             continue
-        # LIFO stack: the 1-branch pops first, so the search walks down from
-        # link-rich (likely feasible) assignments and the incumbent keeps
-        # improving even when the time limit cuts the search short
-        stack.append((depth + 1, values + [0], committed))
-        stack.append((depth + 1, values + [1], committed + per_entry))
+        costs = committed + tail_costs
+        keep = costs < best_cost
+        costs = costs[keep]
+        bits = np.concatenate((np.broadcast_to(prefix, (len(costs), E - t)), tails[keep]), axis=1)
+        feedback = _link_stack(bits, rows, cols, N, symmetric)
+        max_real, stable = _verdicts(build_closed_loop(model, plant_network, feedback).Ftilde)
+        # accept in visiting order, exactly as leaf-by-leaf search would
+        for k in np.flatnonzero(stable):
+            if costs[k] < best_cost:
+                best_bits, best_cost, best_max_real = bits[k], int(costs[k]), float(max_real[k])
 
-    if best_values is None:
+    if best_bits is None:
         if timed_out:
             raise TimedOut(
                 f"no feasible binary feedback found within {time_limit}s")
@@ -268,7 +293,7 @@ def design_binary(model: PlantModel, plant_network: Network,
         raise Infeasible(f"no binary feedback network stabilizes the plant "
                          f"network ({detail})")
 
-    feedback = assemble(best_values)
+    feedback = _link_stack(best_bits[None], rows, cols, N, symmetric)[0]
     return DesignResult(
         feedback=_frozen(feedback),
         mode_gains=None,

@@ -102,15 +102,6 @@ def build_plant_model(D, R, H, K, L) -> PlantModel:
     )
 
 
-def matching_defect(model: PlantModel) -> float:
-    """Induced 2-norm of R L - H.
-
-    Zero means the loop gain reproduces the plant coupling exactly, so
-    replicating the plant network (A = B) is the classical baseline design.
-    """
-    return float(np.linalg.norm(model.R @ model.L - model.H, 2))
-
-
 def matching_gain(model: PlantModel) -> tuple[np.ndarray, float]:
     """Least-squares loop gain minimizing ||R L - H||_F, with its residual."""
     L, *_ = np.linalg.lstsq(model.R, model.H, rcond=None)

@@ -39,9 +39,6 @@ class StableInterval:
     lower: float
     upper: float
 
-    def strictly_contains_zero(self) -> bool:
-        return self.lower < 0.0 < self.upper
-
 
 def sigma(model: PlantModel, lam: complex, mu: complex) -> float | np.ndarray:
     """Largest real part among the eigenvalues of F + lam*H + mu*G.
@@ -63,12 +60,25 @@ def _blocks(model: PlantModel, lam, mu) -> np.ndarray:
     return model.F + lam[..., None, None] * model.H + mu[..., None, None] * model.G
 
 
+def _term_floor(model: PlantModel, lam: complex, mu: np.ndarray) -> np.ndarray:
+    """n*eps*max(1, ||F||_F + |lam| ||H||_F + |mu| ||G||_F): the rounding
+    error of F + lam*H + mu*G taken from its terms, so it stays large when
+    lam*H and mu*G cancel to a small block."""
+    scale = (np.linalg.norm(model.F) + abs(lam) * np.linalg.norm(model.H)
+             + np.abs(mu) * np.linalg.norm(model.G))
+    return model.n * np.finfo(float).eps * np.maximum(1.0, scale)
+
+
 def _rounding_floor(M: np.ndarray):
     """size*eps*max(1, ||M||_F) over the last two axes: M counts as stable only
     when its largest real part is below minus this.  ||M||_F >= ||M||_2, no SVD.
-    Entries are divided by max(1, largest |entry|) first, so squares cannot overflow."""
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
-    norm = scale * np.linalg.norm(M / scale[..., None, None], axis=(-2, -1))
+    Moduli are divided by max(1, largest |entry|) first, so squares cannot overflow,
+    and worked on in place: a stack of closed loops gets one temporary copy."""
+    magnitude = np.abs(M)
+    scale = np.maximum(1.0, magnitude.max(axis=(-2, -1)))
+    magnitude /= scale[..., None, None]
+    magnitude *= magnitude
+    norm = scale * np.sqrt(np.add.reduce(magnitude, axis=(-2, -1)))
     return M.shape[-1] * np.finfo(float).eps * np.maximum(1.0, norm)
 
 
@@ -96,8 +106,11 @@ def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     an eigenvalue at 0 or two eigenvalues summing to 0, i.e. at the real
     roots of the pencils (M0, -G) and (bialt(M0), -bialt(G)) with
     M0 = F + lam*H.  Those roots cut the whole real line into segments of
-    constant sign, the outer two running to -inf and +inf; one sigma
-    evaluation per segment classifies it, adjacent stable segments merge,
+    constant sign, the outer two running to -inf and +inf.  One sigma
+    evaluation per segment classifies it against the rounding floor of the
+    terms of M(mu); one within that floor of zero decides nothing, and the
+    segment gets a second evaluation a unit inside its finite end nearest
+    the origin (or counts as unstable).  Adjacent stable segments merge,
     and the merged interval minimizing distance to mu = 0 is returned (ties
     resolved toward the negative side, then by lower endpoint).  Raises
     NoStableInterval when no segment is stable.
@@ -116,7 +129,24 @@ def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     points = np.minimum(np.maximum(near, lo + step), hi - step)
     # sigma must clear the rounding error of its own eigensolve, so a
     # boundary grazing a classifying point cannot leave a stable sliver behind
-    stable = sigma(model, lam, points) < -_rounding_floor(_blocks(model, lam, points))
+    values = sigma(model, lam, points)
+    floors = _term_floor(model, lam, points)
+    stable = values < -floors
+    # far from its finite ends sigma can shrink into the rounding error (at
+    # |lam| ~ 1e9 it is ~ 5/(lam - mu) near the origin); such a segment gets
+    # one more point, a unit inside its finite end nearest the origin, when
+    # that end lies within the mode's own scale: an end near 1/eps may be a
+    # spurious root, and noise beside it can look stable
+    redo = np.abs(values) <= floors
+    if redo.any():
+        from_lo = np.abs(lo) <= np.abs(hi)
+        end = np.where(from_lo, lo, hi)
+        norm_G = np.linalg.norm(model.G)
+        limit = (1e3 * (np.linalg.norm(model.F) + abs(lam) * np.linalg.norm(model.H)) / norm_G
+                 if norm_G else np.inf)
+        redo &= np.isfinite(end) & (np.abs(end) <= limit)
+        retry = (end + np.where(from_lo, 1.0, -1.0) * np.minimum(1.0, 0.5 * (hi - lo)))[redo]
+        stable[redo] = sigma(model, lam, retry) < -_term_floor(model, lam, retry)
     # a run of stable segments a..b-1 merges into [cuts[a], cuts[b]]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
     candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]))

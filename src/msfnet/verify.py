@@ -31,7 +31,7 @@ def _adjacency(network) -> np.ndarray:
     a = np.asarray(network)
     if not np.iscomplexobj(a):
         a = a.astype(np.float64, copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"adjacency must be square, got shape {a.shape}")
     return a
 
@@ -71,11 +71,14 @@ class StabilityProbability:
 
 
 def build_closed_loop(model: PlantModel, plant_network, feedback_network) -> ClosedLoopSystem:
-    """Assemble Ftilde = I (x) F + B (x) H + A (x) G."""
+    """Assemble Ftilde = I (x) F + B (x) H + A (x) G.
+
+    The feedback may be a stack (..., N, N); Ftilde is then the matching
+    stack (..., N*n, N*n).  The plant network is one N x N matrix."""
     B = _adjacency(plant_network)
     A = _adjacency(feedback_network)
     N = B.shape[0]
-    if A.shape != (N, N):
+    if B.ndim != 2 or A.shape[-2:] != B.shape:
         raise DimensionMismatch(
             f"feedback network {A.shape} does not match plant network {B.shape}")
     Ftilde = (np.kron(np.eye(N), model.F)
@@ -87,13 +90,23 @@ def build_closed_loop(model: PlantModel, plant_network, feedback_network) -> Clo
 
 def spectral_verdict(system: ClosedLoopSystem) -> Verdict:
     """Maximum real part over the full spectrum; stable iff below minus its rounding floor."""
+    max_real, stable = _verdicts(system.Ftilde[None])
+    return Verdict(float(max_real[0]), bool(stable[0]))
+
+
+def _verdicts(Ftilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_verdict``'s rule over a stack (k, m, m): one eigensolve,
+    then each matrix's maximum real part and whether it is stable."""
     try:
-        eigenvalues = np.linalg.eigvals(system.Ftilde)
+        eigenvalues = np.linalg.eigvals(Ftilde)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"closed-loop eigenvalues failed: {exc}") from exc
-    max_real = float(np.max(eigenvalues.real))
-    # short-circuit: most binary-search leaves are unstable and skip the norm
-    return Verdict(max_real, max_real < 0.0 and bool(max_real < -_rounding_floor(system.Ftilde)))
+    max_real = eigenvalues.real.max(axis=-1)
+    stable = max_real < 0.0
+    # the norm is needed only when some maximum real part is negative
+    if stable.any():
+        stable &= max_real < -_rounding_floor(Ftilde)
+    return max_real, stable
 
 
 def spectrum_union_check(model: PlantModel, plant_network, mode_gains) -> float:

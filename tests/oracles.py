@@ -43,25 +43,47 @@ def ring_eigenvalues(N: int, k: int) -> np.ndarray:
     return np.sort(lam)[::-1]
 
 
-def exhaustive_binary_optimum(F, H, G, B, threshold=-1e-9):
-    """Minimal number of ones over all symmetric binary feedbacks putting
-    every closed-loop eigenvalue left of ``threshold``; None if none works.
+def _binary_patterns(F, H, G, B, pairs, symmetric, threshold):
+    """Every 0/1 assignment to the feedback entries ``pairs`` (mirrored when
+    ``symmetric``) in ``itertools.product((1, 0), ...)`` order, as a stack,
+    and whether each puts every closed-loop eigenvalue left of ``threshold``
+    (one stacked eigensolve)."""
+    N = B.shape[0]
+    bits = np.array(list(itertools.product((1.0, 0.0), repeat=len(pairs))))
+    A = np.zeros((len(bits), N, N))
+    for e, (i, j) in enumerate(pairs):
+        A[:, i, j] = bits[:, e]
+        if symmetric:
+            A[:, j, i] = bits[:, e]
+    big = np.kron(np.eye(N), F) + np.kron(B, H) + np.kron(A, G)
+    return A, np.linalg.eigvals(big).real.max(axis=-1) < threshold
 
-    Enumerates all 2^(N(N-1)/2) off-diagonal patterns directly.
+
+def exhaustive_binary_optimum(F, H, G, B, threshold=-1e-9, symmetric=True):
+    """Minimal number of ones over all binary feedbacks, symmetric or
+    directed, putting every closed-loop eigenvalue left of ``threshold``;
+    None if none works.
+
+    Enumerates all 2^(N(N-1)/2) symmetric or 2^(N(N-1)) directed
+    off-diagonal patterns directly.
     """
     N = B.shape[0]
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    best = None
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        A = np.zeros((N, N))
-        for (i, j), bit in zip(pairs, bits):
-            A[i, j] = A[j, i] = float(bit)
-        big = np.kron(np.eye(N), F) + np.kron(B, H) + np.kron(A, G)
-        if np.max(np.linalg.eigvals(big).real) < threshold:
-            cost = int(round(A.sum()))
-            if best is None or cost < best:
-                best = cost
-    return best
+    pairs = [(i, j) for i in range(N) for j in range(N) if (i < j if symmetric else i != j)]
+    A, stable = _binary_patterns(F, H, G, B, pairs, symmetric, threshold)
+    if not stable.any():
+        return None
+    return int(A[stable].sum(axis=(1, 2)).min())
+
+
+def first_cheapest_binary(F, H, G, B, pairs, symmetric=True, threshold=-1e-9):
+    """The stabilizing binary feedback with fewest ones that comes first
+    when the entries ``pairs`` are set depth first, the first pair varying
+    slowest and 1 tried before 0; None if none works."""
+    A, stable = _binary_patterns(F, H, G, B, pairs, symmetric, threshold)
+    if not stable.any():
+        return None
+    links = A.sum(axis=(1, 2))
+    return A[np.flatnonzero(stable & (links == links[stable].min()))[0]]
 
 
 def lyapunov_stable(M) -> bool:

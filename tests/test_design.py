@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import msfnet
 import oracles
+from msfnet import design as design_module
+from msfnet.design import _branch_entries
 from msfnet.errors import BadParameter, Infeasible, NonNormalNetwork
+from msfnet.verify import _verdicts, build_closed_loop
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +65,7 @@ def test_weighted_gains_are_minimal(paper_model, ring8):
     result = msfnet.design_weighted(paper_model, ring8, margin=0.01)
     for gain, interval in zip(result.mode_gains, result.intervals):
         if gain == 0.0:
-            assert interval.strictly_contains_zero()
+            assert interval.lower < 0.0 < interval.upper
             continue
         # nothing closer to the origin (by more than the margin) is stable
         probe = np.sign(gain) * (abs(gain) - result.margin) * (1.0 - 1e-3)
@@ -129,6 +134,19 @@ def test_weighted_complete53_gain_past_fifty(paper_model):
     result = msfnet.design_weighted(paper_model, msfnet.make_network("complete", 53))
     assert result.verified
     assert result.mode_gains[0] == pytest.approx(50.01, abs=1e-9)
+
+
+def test_weighted_at_huge_coupling_is_feasible_but_unverified(paper_model):
+    # lam = 2e9, -1e9, -1e9: each mode is stable on [lam - 2, inf), but at
+    # zero gain the -1e9 modes decay at ~5e-9, inside the rounding floor of
+    # the assembled closed loop (~2e-6), so the dense check cannot confirm it
+    net = msfnet.make_network("complete", 3, coupling=1e9)
+    result = msfnet.design_weighted(paper_model, net)
+    for interval in result.intervals:
+        assert interval.lower == pytest.approx(interval.lam.real - 2.0, rel=1e-15)
+        assert interval.upper == np.inf
+    assert not result.verified
+    assert result.max_real_part < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +246,8 @@ def test_binary_asymmetric_search(paper_model):
     assert np.all(np.diag(result.feedback) == 0.0)
     assert result.max_real_part < 0.0
     # exhaustive directed oracle over all 2^6 off-diagonal patterns
-    import itertools
-
-    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-    best = None
-    for bits in itertools.product((0, 1), repeat=6):
-        A = np.zeros((3, 3))
-        for (i, j), bit in zip(pairs, bits):
-            A[i, j] = float(bit)
-        big = (np.kron(np.eye(3), paper_model.F)
-               + np.kron(net.adjacency, paper_model.H)
-               + np.kron(A, paper_model.G))
-        if np.max(np.linalg.eigvals(big).real) < -1e-9:
-            cost = int(A.sum())
-            best = cost if best is None else min(best, cost)
+    best = oracles.exhaustive_binary_optimum(paper_model.F, paper_model.H, paper_model.G,
+                                             net.adjacency, symmetric=False)
     assert result.links == best == 2
     # the symmetric optimum is an upper bound for the directed search
     symmetric = msfnet.design_binary(paper_model, net, symmetric=True)
@@ -281,6 +287,68 @@ def test_binary_rejects_bad_time_limit(paper_model):
 def test_binary_rejects_oversized_problem(paper_model):
     with pytest.raises(BadParameter):
         msfnet.design_binary(paper_model, msfnet.make_network("complete", 200))
+
+
+@pytest.mark.parametrize("spec,links", [("ring:6:4", 14), ("complete:6", 20)])
+def test_binary_prefix_search_optima(paper_model, monkeypatch, spec, links):
+    # 15 entries on 12x12 closed loops: a depth-first prefix over the first
+    # entries, the last ones checked in batches.  The optima are
+    # bench/exhaustive.py's enumerations of all 2^15 patterns.
+    built, judged = [], []
+
+    def build_spy(model, plant, feedback):
+        built.append(np.array(feedback))
+        return build_closed_loop(model, plant, feedback)
+
+    def verdicts_spy(Ftilde):
+        max_real, stable = _verdicts(Ftilde)
+        judged.append(stable)
+        return max_real, stable
+
+    monkeypatch.setattr(design_module, "build_closed_loop", build_spy)
+    monkeypatch.setattr(design_module, "_verdicts", verdicts_spy)
+    net = msfnet.network_from_spec(spec)
+    result = msfnet.design_binary(paper_model, net, symmetric=True)
+    assert result.optimal
+    assert result.links == links
+    # replaying the batches leaf by leaf in their order: no batch holds a
+    # leaf at or above the incumbent, and the incumbent ends at the result
+    incumbent = np.inf
+    for feedback, stable in zip(built, judged):
+        costs = feedback.sum(axis=(1, 2))
+        assert np.all(costs < incumbent)
+        for cost, ok in zip(costs, stable):
+            if ok and cost < incumbent:
+                incumbent = cost
+    assert incumbent == links
+    assert len(built) > 2  # the search took more than one batch
+
+
+def test_binary_directed_prefix_search(paper_model):
+    # 12 directed entries: more than one batch at N*n = 8
+    net = msfnet.make_network("complete", 4, coupling=1.2)
+    result = msfnet.design_binary(paper_model, net, symmetric=False)
+    F, H, G, B = paper_model.F, paper_model.H, paper_model.G, net.adjacency
+    assert result.optimal
+    assert result.links == oracles.exhaustive_binary_optimum(F, H, G, B, symmetric=False)
+    # of the cheapest feedbacks, the first in the search's visiting order
+    first = oracles.first_cheapest_binary(
+        F, H, G, B, _branch_entries(net, symmetric=False), symmetric=False)
+    npt.assert_array_equal(result.feedback, first)
+
+
+def test_binary_memory_stays_flat_on_large_networks(paper_model):
+    # 8,128 entries at N*n = 256: the search state must not grow with the
+    # square of the depth, and batches hold a few closed loops at a time
+    net = msfnet.make_network("complete", 128)
+    tracemalloc.start()
+    try:
+        result = msfnet.design_binary(paper_model, net, time_limit=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.optimal
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

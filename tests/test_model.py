@@ -60,17 +60,6 @@ def test_non_finite_entries_rejected():
         msfnet.build_plant_model(D, oracles.R, oracles.H, oracles.K, oracles.L)
 
 
-def test_matching_defect_reference_sign(paper_model):
-    # R L = -H for the reference loop gain, so the defect is ||-2 H|| = 2
-    assert msfnet.matching_defect(paper_model) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_matching_defect_zero_when_gain_matches():
-    m = msfnet.build_plant_model(oracles.D, oracles.R, oracles.H, oracles.K,
-                                 np.array([[1.0, 0.0]]))
-    assert msfnet.matching_defect(m) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_matching_gain_least_squares(paper_model):
     L, residual = msfnet.matching_gain(paper_model)
     npt.assert_allclose(L, [[1.0, 0.0]], atol=1e-12)

@@ -117,14 +117,14 @@ def test_interval_for_dominant_mode(paper_model):
     iv = msfnet.stable_interval(paper_model, 7.0)
     assert iv.lower == pytest.approx(5.0, abs=1e-6)
     assert iv.upper == np.inf
-    assert not iv.strictly_contains_zero()
+    assert not iv.lower < 0.0 < iv.upper
 
 
 def test_interval_containing_zero(paper_model):
     iv = msfnet.stable_interval(paper_model, -1.0)
     assert iv.lower == pytest.approx(-3.0, abs=1e-6)
     assert iv.upper == np.inf
-    assert iv.strictly_contains_zero()
+    assert iv.lower < 0.0 < iv.upper
 
 
 def test_interval_whole_range_when_uncoupled():
@@ -276,6 +276,46 @@ def test_interval_past_spurious_pencil_root():
     assert iv.upper == pytest.approx(-2.13819, abs=1e-5)
     assert iv.lower < -50.0
     _assert_matches_brute(model, lam, (-50.0, 50.0))
+
+
+@pytest.mark.parametrize("lam", [-1e9, 2e9])
+def test_interval_at_huge_lambda(paper_model, lam):
+    # near mu = 0, sigma ~ 5/(lam - mu) is below the rounding floor; a unit
+    # inside the finite end lam - 2 it is clearly negative
+    iv = msfnet.stable_interval(paper_model, lam)
+    assert (iv.lower, iv.upper) == (lam - 2.0, np.inf)
+
+
+@pytest.mark.parametrize("exponent", range(10))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_interval_at_scaled_lambda_matches_brute_force(paper_model, sign, exponent):
+    lam = sign * 10.0 ** exponent
+    _assert_matches_brute(paper_model, lam, (lam - 4.0, lam + 4.0))
+
+
+# seed 11 draw 1869 of the interval procedure in CHANGES.md: a spurious
+# pencil root at -2.76e14.  Just inside it sigma is rounding noise that can
+# clear the floor, while sigma is about +1.2 from -324 to -1e13, so a rule
+# accepting any point that clears the floor finds a false interval.
+SPURIOUS_ROOT_NOISE_PLANT = dict(
+    D=[[1.7420636692653644, 0.6595203598098833, -0.5968475595406528, 1.9484845555074917],
+       [0.24537909313266937, 0.26032667622702954, -0.37649427671850777, -0.2836512799414814],
+       [-1.101358573758083, 0.9706753091154705, -1.0052069932773553, -0.09618955156776554],
+       [1.5309018065724378, -0.48245662954975144, 1.75375873945439, -1.1111435529876519]],
+    R=[[1.7065161615354745], [1.0713146349062361], [-0.3148824524109952], [0.9371852655725363]],
+    H=[[0.5192383471614206, -1.4250234873731489, 0.1708780241856891, -1.6193892748158043],
+       [-0.0925183214412102, -1.3674951096853594, 0.6108591462363115, -0.0009345542946310736],
+       [-0.12222890676023557, 1.6746457001882797, 1.447497620270315, -1.8248781755683483],
+       [0.1282797016144932, -1.3948626410032898, -1.4706112545727619, -0.7173675739099328]],
+    K=[[1.7031251490787591, -1.672141164535975, -1.0110805133667577, -1.1075865081283118]],
+    L=[[-0.756583675488963, -0.001314289585040651, 1.0357006213187474, 1.9339999957919822]],
+)
+
+
+def test_interval_ignores_noise_beside_spurious_root():
+    model = msfnet.build_plant_model(**SPURIOUS_ROOT_NOISE_PLANT)
+    with pytest.raises(NoStableInterval):
+        msfnet.stable_interval(model, -4.025974771019987 + 1.368890833222176j)
 
 
 def _assert_matches_brute(model, lam, span):

@@ -5,6 +5,7 @@ import pytest
 import msfnet
 import oracles
 from msfnet.errors import BadParameter, DimensionMismatch
+from msfnet.verify import _verdicts
 
 
 def _decoupled_model(value: float):
@@ -49,6 +50,21 @@ def test_kronecker_blocks_exact(paper_model):
 def test_closed_loop_dimension_mismatch(paper_model):
     with pytest.raises(DimensionMismatch):
         msfnet.build_closed_loop(paper_model, np.zeros((3, 3)), np.zeros((4, 4)))
+    with pytest.raises(DimensionMismatch):
+        msfnet.build_closed_loop(paper_model, np.zeros((3, 3)), np.zeros((2, 4, 4)))
+    with pytest.raises(DimensionMismatch):  # only the feedback may be a stack
+        msfnet.build_closed_loop(paper_model, np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+
+
+def test_closed_loop_of_feedback_stack(paper_model):
+    rng = np.random.default_rng(32)
+    B = oracles.random_symmetric_adjacency(rng, 4)
+    stack = np.array([oracles.random_symmetric_adjacency(rng, 4) for _ in range(6)])
+    system = msfnet.build_closed_loop(paper_model, B, stack.reshape(2, 3, 4, 4))
+    assert system.Ftilde.shape == (2, 3, 8, 8)
+    for k, A in enumerate(stack):
+        npt.assert_array_equal(system.Ftilde.reshape(6, 8, 8)[k],
+                               msfnet.build_closed_loop(paper_model, B, A).Ftilde)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +100,34 @@ def test_verdict_replicated_network_both_gain_signs(paper_model, complete8):
     verdict = msfnet.spectral_verdict(system)
     assert not verdict.stable
     assert verdict.max_real_part == pytest.approx(oracles.sigma_closed(14.0), abs=1e-9)
+
+
+def test_stacked_verdicts_equal_single_verdicts(paper_model):
+    # every symmetric binary feedback on complete:4, then the K2 matching
+    # loop, whose max real part of -1.7e-16 is negative but inside its floor
+    net = msfnet.make_network("complete", 4)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    stack = np.zeros((64, 4, 4))
+    for k in range(64):
+        for e, (i, j) in enumerate(pairs):
+            stack[k, i, j] = stack[k, j, i] = (k >> e) & 1
+    k2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    matched = paper_model.with_loop_gain(msfnet.matching_gain(paper_model)[0])
+    marginal = msfnet.build_closed_loop(matched, k2, k2)
+    decaying = msfnet.build_closed_loop(paper_model, k2, k2)
+    growing = msfnet.ClosedLoopSystem(-decaying.Ftilde, 2, 2)
+    cases = [(msfnet.build_closed_loop(paper_model, net, stack).Ftilde,
+              [msfnet.build_closed_loop(paper_model, net, A) for A in stack]),
+             (np.array([decaying.Ftilde, marginal.Ftilde, growing.Ftilde]),
+              [decaying, marginal, growing])]
+    for Ftilde, systems in cases:
+        max_real, stable = _verdicts(Ftilde)
+        singles = [msfnet.spectral_verdict(system) for system in systems]
+        assert max_real.tolist() == [v.max_real_part for v in singles]
+        assert stable.tolist() == [v.stable for v in singles]
+        assert 0 < sum(stable) < len(stable)
+    assert stable.tolist() == [True, False, False]
+    assert -1e-15 < max_real[1] < 0.0
 
 
 # ---------------------------------------------------------------------------
