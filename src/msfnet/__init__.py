@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     Infeasible,
     MsfnetError,
-    NonNormalNetwork,
     NoStableInterval,
     NumericalFailure,
     TimedOut,
@@ -55,7 +54,6 @@ __all__ = [
     "NumericalFailure",
     "NoStableInterval",
     "Infeasible",
-    "NonNormalNetwork",
     "TimedOut",
     "PlantModel",
     "build_plant_model",

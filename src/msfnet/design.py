@@ -2,11 +2,12 @@
 
 Three designers share one result type:
 
-* ``design_weighted`` — per-mode minimal gains in the plant network's own
-  eigenbasis.  Because the feedback shares that basis, the closed-loop
-  spectrum splits into per-mode blocks and the squared Frobenius norm of
-  the feedback equals the sum of squared mode gains, so minimizing each
-  ``|mu_i|`` inside its stable interval minimizes the network norm.
+* ``design_weighted`` — per-mode minimal gains in the plant network's
+  ordered Schur basis B = Q T Q*.  The feedback A = Q diag(mu) Q* is
+  triangular there with B, so the closed-loop spectrum splits into per-mode
+  blocks and ||A||_F = ||mu||_2: minimizing each ``|mu_i|`` inside its
+  stable interval minimizes the norm among real-gain feedbacks diagonal in
+  that basis, the paper's class when B is symmetric.
 * ``design_binary`` — exact branch and bound over binary link variables,
   minimizing the link count with a direct full-spectrum feasibility test.
 * ``design_matching`` — the classical baseline that replicates the plant
@@ -20,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, Infeasible, NoStableInterval, NonNormalNetwork, NumericalFailure, TimedOut
+from .errors import BadParameter, Infeasible, NoStableInterval, NumericalFailure, TimedOut
 from .graphs import Network, make_network, spectrum
 from .model import PlantModel, _frozen, matching_gain
 from .msf import StableInterval, stable_interval
 from .verify import _verdicts, build_closed_loop, spectral_verdict
 
-_NORMALITY_TOL = 1e-8
 #: Memory budget of one batch of binary-search leaves.
 _BATCH_BYTES = 2 ** 20
 
@@ -67,19 +67,6 @@ class SweepRow:
     status: str
 
 
-def _require_normal(network: Network) -> None:
-    a = network.adjacency
-    scale = max(1.0, float(np.linalg.norm(a, "fro")))
-    if np.linalg.norm(a - a.T, "fro") <= _NORMALITY_TOL * scale:
-        return
-    gram_gap = np.linalg.norm(a @ a.T - a.T @ a, "fro")
-    if gram_gap > _NORMALITY_TOL * scale * scale:
-        raise NonNormalNetwork(
-            "plant network is neither symmetric nor normal "
-            f"(||AA^T - A^TA||_F = {gram_gap:.3e}); the joint-eigenbasis "
-            "construction does not apply")
-
-
 def _pick_mode_gain(interval: StableInterval, margin: float) -> float:
     """Smallest-magnitude gain safely inside the interval.
 
@@ -97,15 +84,17 @@ def design_weighted(model: PlantModel, plant_network: Network,
                     margin: float = 0.01) -> DesignResult:
     """Frobenius-minimal weighted feedback network.
 
-    Decomposes the plant network as Q diag(lambda) Q*, finds each mode's
-    stable interval, picks the minimal-magnitude gain ``margin`` inside it,
-    and assembles the feedback as Q diag(mu) Q*.  Requires a symmetric (or
-    normal) plant network; raises Infeasible listing the modes that have no
-    stable interval.
+    Decomposes the plant network in its ordered Schur basis B = Q T Q*,
+    finds each mode's stable interval, picks the minimal-magnitude gain
+    ``margin`` inside it, and assembles the feedback as A = Q diag(mu) Q*:
+    norm-minimal among real-gain feedbacks diagonal in B's ordered Schur
+    basis, exactly the paper's class when B is symmetric.  Raises
+    Infeasible listing the modes that have no stable interval, and
+    NumericalFailure when the gains of a conjugate mode pair differ
+    (defective or nearly repeated complex modes), leaving A complex.
     """
     if not 0.0 < margin < np.inf:
         raise BadParameter(f"margin must be positive and finite, got {margin}")
-    _require_normal(plant_network)
 
     decomposition = spectrum(plant_network)
     eigenvalues = decomposition.eigenvalues
@@ -136,8 +125,9 @@ def design_weighted(model: PlantModel, plant_network: Network,
         residue = float(np.linalg.norm(feedback.imag, "fro"))
         if residue > 1e-8 * max(1.0, np.linalg.norm(feedback, "fro")):
             raise NumericalFailure(
-                f"feedback has imaginary residue {residue:.3e}; plant "
-                "network modes are not conjugate-paired")
+                f"feedback has imaginary residue {residue:.3e}; the gains of a "
+                "conjugate mode pair differ (defective or nearly repeated "
+                "complex modes)")
         feedback = feedback.real
 
     verdict = spectral_verdict(build_closed_loop(model, plant_network, feedback))

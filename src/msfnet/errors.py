@@ -33,10 +33,5 @@ class Infeasible(MsfnetError):
         self.failed_modes = list(failed_modes) if failed_modes else []
 
 
-class NonNormalNetwork(MsfnetError):
-    """The plant network is neither symmetric nor normal, so the joint
-    eigenbasis construction used by the weighted designer does not apply."""
-
-
 class TimedOut(MsfnetError):
     """A search hit its time limit before finding any feasible point."""

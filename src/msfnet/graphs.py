@@ -40,7 +40,8 @@ class SpectralDecomposition:
     """Eigenvalues with a unitary basis Q and triangular factor T.
 
     adjacency = Q T Q*; diag(T) equals ``eigenvalues``, which are sorted by
-    descending real part, ties by descending imaginary part.
+    descending real part, then descending |imaginary part|, then descending
+    imaginary part, so each conjugate pair is adjacent (+ before -).
     """
 
     eigenvalues: np.ndarray
@@ -159,17 +160,19 @@ def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
 
 def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form with the diagonal sorted by descending real part,
-    ties by descending imaginary part.  Both are rounded to 9 decimals so
-    rounding noise cannot hide a genuine tie (conjugate pairs in
-    particular); equal keys keep their Schur order.  LAPACK's ztrexc moves
-    each next eigenvalue into place with unitary swaps."""
+    then descending |imaginary part|, then descending imaginary part, each
+    rounded to 9 decimals so rounding noise cannot hide a tie; equal keys
+    keep their Schur order.  Conjugate pairs are adjacent, so every leading
+    block is conjugate-closed (a real invariant subspace).  LAPACK's ztrexc
+    moves each next eigenvalue into place with unitary swaps."""
     try:
         T, Q = scipy.linalg.schur(a.astype(np.complex128), output="complex")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
     for p in range(T.shape[0] - 1):
         rest = np.diag(T)[p:]
-        j = p + np.lexsort((-rest.imag.round(9), -rest.real.round(9)))[0]
+        re, im = rest.real.round(9), rest.imag.round(9)
+        j = p + np.lexsort((-im, -np.abs(im), -re))[0]
         if j != p:
             T, Q, info = scipy.linalg.lapack.ztrexc(T, Q, j + 1, p + 1)
             if info != 0:
@@ -181,9 +184,9 @@ def spectrum(network: Network) -> SpectralDecomposition:
     """Spectral decomposition of a network's adjacency matrix.
 
     A network flagged ``symmetric`` gets a real orthogonal eigenbasis with
-    diagonal T; anything else gets an ordered complex Schur form.  Eigenvalues are
-    sorted by descending real part, ties by descending imaginary part, so
-    mode pairing is deterministic.
+    diagonal T; anything else gets an ordered complex Schur form.  Eigenvalues
+    are sorted as ``SpectralDecomposition`` states, so mode pairing is
+    deterministic and each conjugate pair is adjacent.
     """
     a = network.adjacency
     if network.symmetric:

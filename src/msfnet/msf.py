@@ -87,6 +87,7 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
 
     ``steps`` is the number of points per axis, at least 2.  Returns
     ``(lams, mus, values)`` with ``values[i, j] = sigma(model, lams[i], mus[j])``.
+    A grid too large to store raises BadParameter.
     """
     lam_lo, lam_hi = _finite_range("lambda_range", lambda_range)
     mu_lo, mu_hi = _finite_range("mu_range", mu_range)
@@ -94,9 +95,13 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
     if steps < 2:
         raise BadParameter(f"steps must be >= 2 per axis, got {steps}")
 
-    lams = np.linspace(lam_lo, lam_hi, steps)
-    mus = np.linspace(mu_lo, mu_hi, steps)
-    return lams, mus, sigma(model, lams[:, None], mus[None, :])
+    try:
+        lams = np.linspace(lam_lo, lam_hi, steps)
+        mus = np.linspace(mu_lo, mu_hi, steps)
+        return lams, mus, sigma(model, lams[:, None], mus[None, :])
+    except (MemoryError, ValueError) as exc:
+        raise BadParameter(f"cannot store {steps}x{steps} blocks of {model.n} states; "
+                           f"use fewer steps") from exc
 
 
 def stable_interval(model: PlantModel, lam: complex) -> StableInterval:

@@ -108,10 +108,15 @@ def test_non_finite_values_are_usage_errors(model_cfg, tmp_path, capsys):
             assert code == 2, (prefix, flag, value)
             assert "error:" in err and "Traceback" not in err, (prefix, flag, value, err)
     assert not (tmp_path / "sweep.csv").exists()
-    # a step count too large to preallocate (1e13 steps, 291 TiB)
-    assert run_cli(*simulate, "--model", model_cfg, "--dt=1e-12") == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err, err
+    # a step count too large to preallocate (1e13 steps, 291 TiB), and a
+    # grid of 10^12 blocks of 2x2 (29 TiB); both fail to allocate at once
+    grid = ("msf", "grid", "--lambda", "-1:1", "--mu", "-1:1", "--steps", "1000000",
+            "--out", tmp_path / "grid.csv")
+    for args in ((*simulate, "--dt=1e-12"), grid):
+        assert run_cli(*args, "--model", model_cfg) == 2, args
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err, err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_range_flag_is_gone(model_cfg, tmp_path):
@@ -191,6 +196,27 @@ def test_design_weighted_outputs(model_cfg, tmp_path, capsys):
     adjacency = msfnet.read_adjacency_csv(out).adjacency
     assert np.linalg.norm(adjacency, "fro") == pytest.approx(5.01, abs=1e-6)
     assert (tmp_path / "run-manifest.txt").exists()
+
+
+def test_design_weighted_on_directed_network(model_cfg, tmp_path, capsys):
+    # a one-way ring plus a chord: not normal, designed in its Schur basis;
+    # its leading mode (lam = 3.395) needs a gain, its pair +-2.65i none
+    plant = tmp_path / "directed.csv"
+    plant.write_text("0,0,0,3\n3,0,0,0\n0,3,0,1.5\n0,0,3,0\n")
+    out = tmp_path / "A.csv"
+    code = run_cli("design", "weighted", "--model", model_cfg,
+                   "--network", plant, "--out", out)
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["verified"] is True
+    assert report["mode_gains"][0] == pytest.approx(1.40514177, abs=1e-8)
+    assert report["mode_gains"][1:] == [0.0, 0.0, 0.0]
+    adjacency = msfnet.read_adjacency_csv(out).adjacency
+    assert np.linalg.norm(adjacency, "fro") == pytest.approx(report["frobenius_norm"],
+                                                              abs=1e-12)
+    assert np.linalg.norm(report["mode_gains"]) == pytest.approx(report["frobenius_norm"],
+                                                                 abs=1e-9)
 
 
 def test_design_matching_reports_norm(model_cfg, capsys):

@@ -8,7 +8,7 @@ import msfnet
 import oracles
 from msfnet import design as design_module
 from msfnet.design import _branch_entries
-from msfnet.errors import BadParameter, Infeasible, NonNormalNetwork
+from msfnet.errors import BadParameter, Infeasible, NumericalFailure
 from msfnet.verify import _verdicts, build_closed_loop
 
 
@@ -106,10 +106,89 @@ def test_weighted_infeasible_reports_modes(unstabilizable_model, complete8):
     assert lam.real == pytest.approx(7.0, abs=1e-9)
 
 
-def test_weighted_rejects_non_normal_network(paper_model):
+def test_weighted_on_non_normal_network(paper_model):
+    # a nilpotent one-way link: both modes are lam = 0, where mu = 0 is
+    # stable, so the plant's own poles -1 +- 2i are left alone
     net = msfnet.custom_network(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NonNormalNetwork):
-        msfnet.design_weighted(paper_model, net)
+    result = msfnet.design_weighted(paper_model, net)
+    assert result.verified
+    npt.assert_array_equal(result.feedback, np.zeros((2, 2)))
+    npt.assert_array_equal(result.mode_gains, np.zeros(2))
+    assert result.max_real_part == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_weighted_on_random_directed_networks(paper_model):
+    # directed weighted graphs are non-normal: the feedback is diagonal in
+    # the ordered Schur basis, the closed loop block triangular
+    rng = np.random.default_rng(2026)
+    complex_modes = 0
+    for _ in range(40):
+        N = int(rng.integers(3, 12))
+        a = (rng.random((N, N)) < 0.4) * rng.uniform(0.2, 1.0, (N, N))
+        np.fill_diagonal(a, 0.0)
+        net = msfnet.custom_network(a)
+        assert not net.symmetric
+        result = msfnet.design_weighted(paper_model, net)
+        assert result.verified
+        assert abs(result.frobenius_norm - np.linalg.norm(result.mode_gains)) <= 1e-9
+        system = msfnet.build_closed_loop(paper_model, net, result.feedback)
+        assert oracles.lyapunov_stable(system.Ftilde)
+        assert msfnet.spectrum_union_check(paper_model, net, result.mode_gains) <= 1e-5
+        complex_modes += bool(np.any(msfnet.spectrum(net).eigenvalues.imag != 0.0))
+    assert complex_modes >= 20
+
+
+def test_weighted_keeps_tied_conjugate_pairs_together():
+    # two conjugate pairs with equal real part, coupled by an off-diagonal
+    # block: ordering ties by imaginary part alone would put 0.5+2i, 0.5+i
+    # first and split both pairs.  On a generic plant (unlike the paper
+    # plant, where H = -G) the two pairs get different gains, and a split
+    # pair leaves the feedback complex
+    M = np.zeros((4, 4))
+    M[:2, :2] = [[0.5, 2.0], [-2.0, 0.5]]
+    M[2:, 2:] = [[0.5, 1.0], [-1.0, 0.5]]
+    M[:2, 2:] = [[1.0, -0.5], [0.3, 0.8]]
+    S = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
+    net = msfnet.custom_network(S @ M @ np.linalg.inv(S))
+    npt.assert_allclose(msfnet.spectrum(net).eigenvalues,
+                        [0.5 + 2j, 0.5 - 2j, 0.5 + 1j, 0.5 - 1j], atol=1e-9)
+    rng = np.random.default_rng(1)
+    designed = distinct = 0
+    for _ in range(40):
+        model = msfnet.build_plant_model(*oracles.random_plant(rng, 2))
+        try:
+            result = msfnet.design_weighted(model, net)
+        except Infeasible:
+            continue
+        assert result.verified
+        gains = result.mode_gains
+        npt.assert_allclose(gains[[1, 3]], gains[[0, 2]], rtol=1e-9, atol=1e-12)
+        assert abs(result.frobenius_norm - np.linalg.norm(gains)) <= 1e-9
+        designed += 1
+        distinct += bool(abs(gains[0] - gains[2]) > 1e-6)
+    assert designed >= 20 and distinct >= 10
+
+
+def test_weighted_defective_complex_modes_raise(paper_model):
+    # a Jordan block of 2 +- 3i: rounding splits the double pair by ~1e-7
+    # into four modes that are not conjugate pairs, their gains differ by
+    # ~1e-8, and the feedback would keep an imaginary residue above the
+    # 1e-8 check.  Such a network is refused, never designed
+    C = np.array([[2.0, 3.0], [-3.0, 2.0]])
+    J = np.block([[C, np.eye(2)], [np.zeros((2, 2)), C]])
+    rng = np.random.default_rng(5)
+    raised = []
+    for draw in range(20):
+        S = rng.standard_normal((4, 4))
+        net = msfnet.custom_network(S @ J @ np.linalg.inv(S))
+        try:
+            result = msfnet.design_weighted(paper_model, net)
+        except NumericalFailure as exc:
+            assert "gains of a conjugate mode pair differ" in str(exc)
+            raised.append(draw)
+            continue
+        assert result.verified
+    assert 0 in raised and len(raised) >= 5
 
 
 def test_weighted_rejects_nonpositive_margin(paper_model, complete8):

@@ -127,9 +127,11 @@ def test_zero_matrix_spectrum():
 
 
 def _order_key(z):
-    # the documented ordering: descending real then imaginary part, with
-    # 9-decimal rounding so rounding noise cannot hide ties
-    return (-round(float(np.real(z)), 9), -round(float(np.imag(z)), 9))
+    # the documented ordering: descending real part, then |imaginary part|,
+    # then imaginary part, with 9-decimal rounding so rounding noise cannot
+    # hide ties
+    re, im = round(float(np.real(z)), 9), round(float(np.imag(z)), 9)
+    return (-re, -abs(im), -im)
 
 
 def _check_decomposition(a, dec, n):

@@ -107,6 +107,9 @@ def test_grid_rejects_bad_steps(paper_model):
         msfnet.sigma_grid(paper_model, (-1.0, 1.0), (-1.0, 1.0), 1)
     with pytest.raises(BadParameter):
         msfnet.sigma_grid(paper_model, (1.0, -1.0), (-1.0, 1.0), 5)
+    # 10^12 blocks of 2x2 (29 TiB) fail to allocate at once
+    with pytest.raises(BadParameter, match="fewer steps"):
+        msfnet.sigma_grid(paper_model, (-1.0, 1.0), (-1.0, 1.0), 10 ** 6)
 
 
 # ---------------------------------------------------------------------------
