@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, Infeasible, NoStableInterval, NumericalFailure, TimedOut
-from .graphs import Network, make_network, spectrum
+from .graphs import Network, _mode_key, make_network, spectrum
 from .model import PlantModel, _frozen, matching_gain
 from .msf import StableInterval, stable_interval
 from .verify import _verdicts, build_closed_loop, spectral_verdict
@@ -88,10 +88,12 @@ def design_weighted(model: PlantModel, plant_network: Network,
     finds each mode's stable interval, picks the minimal-magnitude gain
     ``margin`` inside it, and assembles the feedback as A = Q diag(mu) Q*:
     norm-minimal among real-gain feedbacks diagonal in B's ordered Schur
-    basis, exactly the paper's class when B is symmetric.  Raises
-    Infeasible listing the modes that have no stable interval, and
-    NumericalFailure when the gains of a conjugate mode pair differ
-    (defective or nearly repeated complex modes), leaving A complex.
+    basis, exactly the paper's class when B is symmetric.  A conjugate
+    pair, and modes that the spectrum's order ties, share one interval and
+    one gain: one ``stable_interval`` call per class of ``_mode_key``'s
+    (Re, |Im|).  Raises Infeasible listing every mode that has no stable
+    interval, and NumericalFailure when the gains of a conjugate mode pair
+    differ (defective or nearly repeated complex modes), leaving A complex.
     """
     if not 0.0 < margin < np.inf:
         raise BadParameter(f"margin must be positive and finite, got {margin}")
@@ -99,23 +101,19 @@ def design_weighted(model: PlantModel, plant_network: Network,
     decomposition = spectrum(plant_network)
     eigenvalues = decomposition.eigenvalues
 
-    intervals: list[StableInterval | None] = []
-    failed: list[tuple[int, complex]] = []
-    cache: dict[tuple[float, float], StableInterval] = {}
-    for index, lam in enumerate(eigenvalues):
-        key = (round(float(lam.real), 12), round(float(lam.imag), 12))
+    _, first, label = np.unique(_mode_key(eigenvalues)[:2], axis=1,
+                                return_index=True, return_inverse=True)
+    solved: list[StableInterval | None] = []
+    for index in first:
         try:
-            if key not in cache:
-                cache[key] = stable_interval(model, complex(lam))
-            intervals.append(cache[key])
+            solved.append(stable_interval(model, complex(eigenvalues[index])))
         except NoStableInterval:
-            intervals.append(None)
-            failed.append((index, complex(lam)))
+            solved.append(None)
+    intervals = [solved[c] for c in label]
+    failed = [(i, complex(eigenvalues[i])) for i, iv in enumerate(intervals) if iv is None]
     if failed:
         described = ", ".join(f"lambda_{i + 1}={lam}" for i, lam in failed)
-        raise Infeasible(
-            f"no stable interval for mode(s) {described}",
-            failed_modes=failed)
+        raise Infeasible(f"no stable interval for mode(s) {described}", failed_modes=failed)
 
     mode_gains = np.array([_pick_mode_gain(iv, margin) for iv in intervals])
 
@@ -155,9 +153,8 @@ def design_matching(model: PlantModel, plant_network: Network) -> DesignResult:
     matched = model.with_loop_gain(L_match)
     feedback = plant_network.adjacency.copy()
 
-    mode_gains = spectrum(plant_network).eigenvalues
-    if np.max(np.abs(mode_gains.imag)) <= 1e-12:
-        mode_gains = mode_gains.real
+    eigenvalues = spectrum(plant_network).eigenvalues
+    mode_gains = eigenvalues if _mode_key(eigenvalues)[1].any() else eigenvalues.real
 
     verdict = spectral_verdict(build_closed_loop(matched, plant_network, feedback))
     return DesignResult(
@@ -232,15 +229,12 @@ def design_binary(model: PlantModel, plant_network: Network,
     tail_costs = per_entry * tails.sum(axis=1)
     tails = tails.astype(float)
 
-    best_bits: np.ndarray | None = None
-    best_cost = np.inf
-    best_max_real = np.inf
+    best_bits, best_cost, best_max_real = None, np.inf, np.inf
 
     # seed the incumbent with the complete feedback graph when it works
     complete = _link_stack(np.ones((1, E)), rows, cols, N, symmetric)
     max_real, stable = _verdicts(build_closed_loop(model, plant_network, complete).Ftilde)
-    complete_feasible = bool(stable[0])
-    if complete_feasible:
+    if stable[0]:
         best_bits, best_cost, best_max_real = np.ones(E), E * per_entry, float(max_real[0])
 
     timed_out = False
@@ -274,14 +268,13 @@ def design_binary(model: PlantModel, plant_network: Network,
             if costs[k] < best_cost:
                 best_bits, best_cost, best_max_real = bits[k], int(costs[k]), float(max_real[k])
 
+    # a feasible complete graph seeds the incumbent, so none means it failed
     if best_bits is None:
         if timed_out:
             raise TimedOut(
                 f"no feasible binary feedback found within {time_limit}s")
-        detail = ("even the complete feedback graph fails"
-                  if not complete_feasible else "search exhausted")
-        raise Infeasible(f"no binary feedback network stabilizes the plant "
-                         f"network ({detail})")
+        raise Infeasible("no binary feedback network stabilizes the plant "
+                         "network (even the complete feedback graph fails)")
 
     feedback = _link_stack(best_bits[None], rows, cols, N, symmetric)[0]
     return DesignResult(
@@ -324,7 +317,7 @@ def norm_sweep(model: PlantModel, family: str, n_range,
     rows = []
     for N in range(lo, hi + 1):
         network = build(N)
-        matching_norm = design_matching(model, network).frobenius_norm
+        matching_norm = float(np.linalg.norm(network.adjacency, "fro"))  # A = B
         try:
             weighted = design_weighted(model, network, margin)
             rows.append(SweepRow(N, weighted.frobenius_norm, matching_norm,

@@ -158,21 +158,24 @@ def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
                        "(expected complete:N | ring:N:k | er:N:p:seed | file:PATH)")
 
 
+def _mode_key(eigenvalues: np.ndarray) -> np.ndarray:
+    """Rows (Re, |Im|, Im), each rounded to 9 decimals so rounding noise cannot
+    hide a tie: the spectrum is sorted by it, descending, and modes equal in
+    (Re, |Im|) are the same up to conjugation, so they share one interval."""
+    re, im = eigenvalues.real.round(9), eigenvalues.imag.round(9)
+    return np.stack((re, np.abs(im), im))
+
+
 def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form with the diagonal sorted by descending real part,
-    then descending |imaginary part|, then descending imaginary part, each
-    rounded to 9 decimals so rounding noise cannot hide a tie; equal keys
-    keep their Schur order.  Conjugate pairs are adjacent, so every leading
-    block is conjugate-closed (a real invariant subspace).  LAPACK's ztrexc
-    moves each next eigenvalue into place with unitary swaps."""
+    """Complex Schur form with the diagonal sorted by descending ``_mode_key``
+    (equal keys keep their Schur order), so every leading block is
+    conjugate-closed.  LAPACK's ztrexc moves each eigenvalue into place."""
     try:
         T, Q = scipy.linalg.schur(a.astype(np.complex128), output="complex")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
     for p in range(T.shape[0] - 1):
-        rest = np.diag(T)[p:]
-        re, im = rest.real.round(9), rest.imag.round(9)
-        j = p + np.lexsort((-im, -np.abs(im), -re))[0]
+        j = p + np.lexsort(-_mode_key(np.diag(T)[p:])[::-1])[0]
         if j != p:
             T, Q, info = scipy.linalg.lapack.ztrexc(T, Q, j + 1, p + 1)
             if info != 0:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure
+from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure, TimedOut
 from .graphs import Network, custom_network, make_network, spectrum
 from .model import PlantModel
 from .msf import _blocks, _rounding_floor
@@ -172,13 +172,15 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
     """Fixed-step classical RK4 trajectory of dx/dt = Ftilde x.
 
     Integration stops early, with ``diverged`` set, once the state norm
-    exceeds 1e12; that is evidence of instability, not an error.  A step
-    count too large to preallocate raises BadParameter.
+    exceeds 1e12; that is evidence of instability, not an error.  A non-finite
+    ``x0`` or a step count too large to preallocate raises BadParameter.
     """
     x = np.asarray(x0, dtype=np.float64).ravel()
     size = system.N * system.n
     if x.shape[0] != size:
         raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {size}")
+    if not np.all(np.isfinite(x)):
+        raise BadParameter("x0 must be finite")
     if dt is None:
         dt = default_time_step(system)
     if not 0.0 < dt < t_end < np.inf:
@@ -221,8 +223,9 @@ def stability_probability(model: PlantModel, family: str, trials: int,
 
     Samples ``trials`` Erdos-Renyi networks (``family`` = ``er:N:p``) with
     per-trial seeds ``seed + trial``, runs the designer and counts the
-    trials whose design exists and verifies stable.  Per-trial failures
-    (infeasible, no stable interval) count against the fraction.
+    trials whose design exists and verifies stable.  A trial whose designer
+    raises Infeasible, NoStableInterval, NumericalFailure or TimedOut (a
+    search that found nothing in time) counts against the fraction.
     ``design_method`` is ``weighted``/``binary``/``matching`` or a callable
     ``(model, network) -> DesignResult``.
     """
@@ -236,7 +239,7 @@ def stability_probability(model: PlantModel, family: str, trials: int,
         network = make_network("er", N, p=p, seed=seed + trial)
         try:
             stable_count += bool(designer(model, network).verified)
-        except (Infeasible, NoStableInterval, NumericalFailure):
+        except (Infeasible, NoStableInterval, NumericalFailure, TimedOut):
             pass
     return StabilityProbability(
         fraction=stable_count / trials,

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import msfnet
 import oracles
 from msfnet import design as design_module
+from msfnet import msf as msf_module
 from msfnet.design import _branch_entries
 from msfnet.errors import BadParameter, Infeasible, NumericalFailure
 from msfnet.verify import _verdicts, build_closed_loop
@@ -162,11 +164,37 @@ def test_weighted_keeps_tied_conjugate_pairs_together():
             continue
         assert result.verified
         gains = result.mode_gains
-        npt.assert_allclose(gains[[1, 3]], gains[[0, 2]], rtol=1e-9, atol=1e-12)
+        npt.assert_array_equal(gains[[1, 3]], gains[[0, 2]])
         assert abs(result.frobenius_norm - np.linalg.norm(gains)) <= 1e-9
         designed += 1
         distinct += bool(abs(gains[0] - gains[2]) > 1e-6)
     assert designed >= 20 and distinct >= 10
+
+
+def test_weighted_solves_one_interval_per_conjugate_class(unstabilizable_model,
+                                                         monkeypatch):
+    # k = 3 conjugate pairs and r = 3 distinct real modes, two of them
+    # repeated, under a random similarity: one interval per class, and the
+    # repeated infeasible class (lam = 6 > 1/0.22) is solved once
+    rotation = lambda re, im: [[re, im], [-im, re]]
+    M = scipy.linalg.block_diag(rotation(7.0, 1.0), 6.0, 6.0, 1.0, 1.0,
+                                rotation(0.5, 2.0), rotation(0.5, 1.0), -1.0)
+    S = np.random.default_rng(3).uniform(-1.0, 1.0, (11, 11)) + 3.0 * np.eye(11)
+    net = msfnet.custom_network(S @ M @ np.linalg.inv(S))
+    npt.assert_allclose(msfnet.spectrum(net).eigenvalues,
+                        [7 + 1j, 7 - 1j, 6, 6, 1, 1, 0.5 + 2j, 0.5 - 2j,
+                         0.5 + 1j, 0.5 - 1j, -1], atol=1e-9)
+    calls = []
+
+    def counting(model, lam):
+        calls.append(lam)
+        return msf_module.stable_interval(model, lam)
+
+    monkeypatch.setattr(design_module, "stable_interval", counting)
+    with pytest.raises(Infeasible) as info:
+        msfnet.design_weighted(unstabilizable_model, net)
+    assert len(calls) == 3 + 3
+    assert [index for index, _ in info.value.failed_modes] == [0, 1, 2, 3]
 
 
 def test_weighted_defective_complex_modes_raise(paper_model):
@@ -345,7 +373,7 @@ def test_binary_infeasible_when_feedback_cannot_act():
     # every assignment including the complete graph
     m = msfnet.build_plant_model(np.eye(2), oracles.R, np.zeros((2, 2)),
                                  np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="even the complete feedback graph fails"):
         msfnet.design_binary(m, msfnet.make_network("complete", 3))
 
 

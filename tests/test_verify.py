@@ -4,7 +4,7 @@ import pytest
 
 import msfnet
 import oracles
-from msfnet.errors import BadParameter, DimensionMismatch
+from msfnet.errors import BadParameter, DimensionMismatch, TimedOut
 from msfnet.verify import _verdicts
 
 
@@ -201,6 +201,9 @@ def test_simulate_validates_inputs(paper_model):
         msfnet.simulate(system, np.ones(3), t_end=1.0, dt=0.1)
     with pytest.raises(BadParameter):
         msfnet.simulate(system, np.ones(2), t_end=0.05, dt=0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParameter, match="x0 must be finite"):
+            msfnet.simulate(system, [1.0, bad], t_end=1.0, dt=0.1)
     for t_end, dt in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, -np.inf),
                       (np.nan, None), (np.inf, None)):
         with pytest.raises(BadParameter):
@@ -287,6 +290,22 @@ def test_probability_accepts_callable_designer(paper_model):
                                             seed=3, design_method=designer)
     assert len(calls) == 5
     assert estimate.fraction == 1.0
+
+
+def test_probability_counts_timed_out_trial_as_failure(paper_model):
+    # a search that times out without a design fails its trial, not the estimate
+    calls = []
+
+    def designer(model, network):
+        calls.append(network.size)
+        if len(calls) % 2:
+            raise TimedOut("no feasible binary feedback found within 1.0s")
+        return msfnet.design_weighted(model, network)
+
+    estimate = msfnet.stability_probability(paper_model, "er:4:0.5", trials=6,
+                                            seed=3, design_method=designer)
+    assert len(calls) == 6
+    assert estimate.stable_count == 3 and estimate.fraction == 0.5
 
 
 @pytest.mark.parametrize("family", ["er:4", "ring:4:2", "er:4:2.0", "er:x:0.5"])
