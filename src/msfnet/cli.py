@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from .design import design_binary, design_matching, design_weighted, norm_sweep
 from .errors import BadParameter, DimensionMismatch, Infeasible, MsfnetError, NoStableInterval, TimedOut
-from .graphs import adjacency_csv_text, custom_network, network_from_spec
+from .graphs import _parse_spec, adjacency_csv_text, custom_network, network_from_spec
 from .model import PlantModel, load_model_config
 from .msf import sigma_grid, stable_interval
 from .verify import build_closed_loop, simulate, spectral_verdict, stability_probability
@@ -66,6 +66,16 @@ def _parse_range(text: str, cast=float) -> tuple:
         return cast(parts[0]), cast(parts[1])
     except ValueError as exc:
         raise BadParameter(f"range must be {cast.__name__} 'low:high', got {text!r}") from exc
+
+
+def _eigenvalue(text: str) -> float | complex:
+    """A plant eigenvalue: a float, or a complex ``a+bj`` when b is nonzero."""
+    try:
+        value = complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number such as 7 or 3+1j, "
+                                         f"got {text!r}") from None
+    return value.real if value.imag == 0 else value
 
 
 def _load_network(value: str, *, coupling: float = 1.0):
@@ -150,11 +160,11 @@ def _cmd_msf_interval(args: argparse.Namespace, model: PlantModel) -> int:
             iv = stable_interval(model, lam)
         except NoStableInterval as exc:
             print(f"lambda={lam}: no stable interval ({exc})")
-            rows.append(f"{lam},0.0,nan,nan")
+            rows.append(f"{lam.real},{lam.imag},nan,nan")
             exit_code = EXIT_VERDICT
             continue
         print(f"lambda={lam}: stable mu interval [{iv.lower}, {iv.upper}]")
-        rows.append(f"{lam},0.0,{iv.lower},{iv.upper}")
+        rows.append(f"{lam.real},{lam.imag},{iv.lower},{iv.upper}")
     if args.out:
         _atomic_write(args.out, "\n".join(rows) + "\n")
     return exit_code
@@ -212,13 +222,10 @@ def _cmd_sweep_norm(args: argparse.Namespace, model: PlantModel) -> int:
 def _parse_x0(spec: str, size: int) -> np.ndarray:
     if spec == "ones":
         return np.ones(size)
-    if spec.startswith("random:"):
-        try:
-            seed = int(spec.partition(":")[2])
-        except ValueError as exc:
-            raise BadParameter(f"x0 must be 'ones' or 'random:SEED', got {spec!r}") from exc
-        return np.random.default_rng(seed).standard_normal(size)
-    raise BadParameter(f"x0 must be 'ones' or 'random:SEED', got {spec!r}")
+    kind, _, seed = spec.partition(":")
+    if kind == "random" and seed.isdecimal():
+        return np.random.default_rng(int(seed)).standard_normal(size)
+    raise BadParameter(f"x0 must be 'ones' or 'random:SEED' with SEED >= 0, got {spec!r}")
 
 
 def _cmd_verify(args: argparse.Namespace, model: PlantModel) -> int:
@@ -259,7 +266,7 @@ def _cmd_prob_stability(args: argparse.Namespace, model: PlantModel) -> int:
     estimate = stability_probability(
         model, args.family, args.trials, args.designer, seed=args.seed,
         margin=args.margin)
-    p_value = float(args.family.split(":")[2])
+    p_value = _parse_spec(args.family, omit="seed")[1]["p"]
     report = {
         "family": args.family,
         "trials": estimate.trials,
@@ -304,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     interval = msf_sub.add_parser("interval", parents=[with_model],
                                   help="stable mu interval per mode")
-    interval.add_argument("--lambda", dest="lam", type=float, required=True,
-                          action="append", help="plant eigenvalue (repeatable)")
+    interval.add_argument("--lambda", dest="lam", type=_eigenvalue, required=True,
+                          action="append", help="plant eigenvalue, real or a+bj (repeatable)")
     interval.add_argument("--out", help="optional CSV output")
     interval.set_defaults(func=_cmd_msf_interval)
 
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = sweep.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     norm = sweep_sub.add_parser("norm", parents=[with_model],
                                 help="weighted vs matching Frobenius norms")
-    norm.add_argument("--family", required=True, help="complete | ring:k")
+    norm.add_argument("--family", required=True, help="complete | ring:k | er:p:seed")
     norm.add_argument("--n", required=True, help="inclusive size range low:high")
     norm.add_argument("--margin", type=float, default=0.01)
     norm.add_argument("--coupling", type=float, default=1.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, Infeasible, NoStableInterval, NumericalFailure, TimedOut
-from .graphs import Network, _mode_key, make_network, spectrum
+from .graphs import Network, _mode_key, _parse_spec, make_network, spectrum
 from .model import PlantModel, _frozen, matching_gain
 from .msf import StableInterval, stable_interval
 from .verify import _verdicts, build_closed_loop, spectral_verdict
@@ -101,12 +101,14 @@ def design_weighted(model: PlantModel, plant_network: Network,
     decomposition = spectrum(plant_network)
     eigenvalues = decomposition.eigenvalues
 
-    _, first, label = np.unique(_mode_key(eigenvalues)[:2], axis=1,
-                                return_index=True, return_inverse=True)
+    key = _mode_key(eigenvalues)
+    _, first, label = np.unique(key[:2], axis=1, return_index=True, return_inverse=True)
     solved: list[StableInterval | None] = []
     for index in first:
+        # a mode the key calls real gets a real lambda, not the complex path
+        lam = eigenvalues[index].real if key[1, index] == 0 else complex(eigenvalues[index])
         try:
-            solved.append(stable_interval(model, complex(eigenvalues[index])))
+            solved.append(stable_interval(model, lam))
         except NoStableInterval:
             solved.append(None)
     intervals = [solved[c] for c in label]
@@ -293,30 +295,20 @@ def norm_sweep(model: PlantModel, family: str, n_range,
                *, margin: float = 0.01, coupling: float = 1.0) -> list[SweepRow]:
     """Weighted vs matching feedback norms across network sizes.
 
-    ``family`` is ``complete`` or ``ring:k``; ``n_range`` is an inclusive
-    (low, high) pair.  A size whose weighted design is infeasible yields a
-    NaN weighted norm and status ``infeasible`` instead of aborting; one
-    whose design fails its spectral check keeps its norm with status
-    ``unverified``.
+    ``family`` is a network spec without its size: ``complete``,
+    ``ring:k`` or ``er:p:seed``; ``n_range`` is an inclusive (low, high)
+    pair.  A size whose weighted design is infeasible yields a NaN weighted
+    norm and status ``infeasible`` instead of aborting; one whose design
+    fails its spectral check keeps its norm with status ``unverified``.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
         raise BadParameter(f"n_range must be (low, high) with low <= high, got {n_range}")
-    if family == "complete":
-        build = lambda N: make_network("complete", N, coupling=coupling)
-    elif family.startswith("ring:") and family.count(":") == 1:
-        try:
-            k = int(family.split(":")[1])
-        except ValueError as exc:
-            raise BadParameter(f"family must be 'complete' or 'ring:k', "
-                               f"got {family!r}") from exc
-        build = lambda N: make_network("ring", N, k=k, coupling=coupling)
-    else:
-        raise BadParameter(f"family must be 'complete' or 'ring:k', got {family!r}")
+    kind, fields = _parse_spec(family, omit="N")
 
     rows = []
     for N in range(lo, hi + 1):
-        network = build(N)
+        network = make_network(kind, N, coupling=coupling, **fields)
         matching_norm = float(np.linalg.norm(network.adjacency, "fro"))  # A = B
         try:
             weighted = design_weighted(model, network, margin)

@@ -88,8 +88,8 @@ def make_network(kind: str, N: int, *, k: int | None = None, p: float | None = N
     elif kind == "er":
         if p is None or not 0.0 <= p <= 1.0:
             raise BadParameter(f"er network requires p in [0, 1], got {p}")
-        if seed is None:
-            raise BadParameter("er network requires an explicit seed")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise BadParameter(f"er network requires a non-negative integer seed, got {seed!r}")
         # one uniform draw per pair i < j, pairs in row-major order: a seed
         # names the same network as long as this draw order is kept
         rows, cols = np.triu_indices(N, 1)
@@ -114,7 +114,8 @@ def read_adjacency_csv(path) -> Network:
     """Load an adjacency matrix from CSV: N rows of N comma-separated
     decimals, no header."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    # a byte that is not UTF-8 decodes to U+FFFD, which no float parses
+    for lineno, line in enumerate(Path(path).read_text(errors="replace").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -134,28 +135,37 @@ def adjacency_csv_text(adjacency: np.ndarray) -> str:
     return "\n".join(",".join(str(float(v)) for v in row) for row in adjacency) + "\n"
 
 
+#: Each generated kind's ``make_network`` fields in spec order, and their casts.
+_SPEC_FIELDS = {"complete": ("N",), "ring": ("N", "k"), "er": ("N", "p", "seed")}
+_FIELD_CASTS = {"N": int, "k": int, "p": float, "seed": int}
+
+
+def _parse_spec(spec: str, omit: str | None = None) -> tuple[str, dict]:
+    """Split ``kind:field:...`` into the kind and its ``make_network`` keywords,
+    checking only the casts.  A family (``ring:4`` with ``omit="N"``) leaves
+    out the field ``omit``, which its kind must have."""
+    kind, *values = spec.split(":")
+    names = _SPEC_FIELDS.get(kind, ())
+    fields = [name for name in names if name != omit]
+    what = "spec" if omit is None else "family"
+    if not names or omit not in (None, *names) or len(values) != len(fields):
+        expected = " | ".join(":".join((k, *(f for f in fs if f != omit)))
+                              for k, fs in _SPEC_FIELDS.items() if omit in (None, *fs))
+        raise BadParameter(f"bad network {what} {spec!r} (expected {expected}"
+                           f"{' | file:PATH' if omit is None else ''})")
+    try:
+        return kind, {name: _FIELD_CASTS[name](value) for name, value in zip(fields, values)}
+    except ValueError as exc:
+        raise BadParameter(f"bad network {what} {spec!r}: {exc}") from exc
+
+
 def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
     """Parse a network spec string: ``complete:N``, ``ring:N:k``,
     ``er:N:p:seed`` or ``file:PATH``."""
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        if kind == "complete" and len(parts) == 2:
-            return make_network("complete", int(parts[1]), coupling=coupling)
-        if kind == "ring" and len(parts) == 3:
-            return make_network("ring", int(parts[1]), k=int(parts[2]), coupling=coupling)
-        if kind == "er" and len(parts) == 4:
-            return make_network("er", int(parts[1]), p=float(parts[2]),
-                                seed=int(parts[3]), coupling=coupling)
-        if kind == "file" and len(parts) >= 2:
-            network = read_adjacency_csv(spec.partition(":")[2])
-            if coupling != 1.0:
-                network = _wrap(network.adjacency, "custom", coupling)
-            return network
-    except ValueError as exc:
-        raise BadParameter(f"bad network spec {spec!r}: {exc}") from exc
-    raise BadParameter(f"bad network spec {spec!r} "
-                       "(expected complete:N | ring:N:k | er:N:p:seed | file:PATH)")
+    if spec.startswith("file:"):
+        return _wrap(read_adjacency_csv(spec.partition(":")[2]).adjacency, "custom", coupling)
+    kind, fields = _parse_spec(spec)
+    return make_network(kind, coupling=coupling, **fields)
 
 
 def _mode_key(eigenvalues: np.ndarray) -> np.ndarray:

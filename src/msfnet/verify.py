@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure, TimedOut
-from .graphs import Network, custom_network, make_network, spectrum
+from .graphs import Network, _parse_spec, custom_network, make_network, spectrum
 from .model import PlantModel
 from .msf import _blocks, _rounding_floor
 
@@ -203,40 +203,28 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
     return SimulationResult(t=np.arange(k + 1) * dt, x=trajectory[:k + 1], diverged=diverged)
 
 
-def _parse_er_family(family: str) -> tuple[int, float]:
-    parts = family.split(":")
-    if len(parts) != 3 or parts[0] != "er":
-        raise BadParameter(f"family must be 'er:N:p', got {family!r}")
-    try:
-        N, p = int(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise BadParameter(f"family must be 'er:N:p', got {family!r}") from exc
-    if N < 2 or not 0.0 <= p <= 1.0:
-        raise BadParameter(f"family needs N >= 2 and p in [0, 1], got {family!r}")
-    return N, p
-
-
 def stability_probability(model: PlantModel, family: str, trials: int,
                           design_method="weighted", *, seed: int,
                           margin: float = 0.01) -> StabilityProbability:
     """Fraction of random plant networks the designer stabilizes.
 
-    Samples ``trials`` Erdos-Renyi networks (``family`` = ``er:N:p``) with
-    per-trial seeds ``seed + trial``, runs the designer and counts the
-    trials whose design exists and verifies stable.  A trial whose designer
-    raises Infeasible, NoStableInterval, NumericalFailure or TimedOut (a
-    search that found nothing in time) counts against the fraction.
+    Samples ``trials`` random networks from ``family``, a network spec
+    without its seed (``er:N:p``), with per-trial seeds ``seed + trial``
+    (``seed`` >= 0), runs the designer and counts the trials whose design
+    exists and verifies stable.  A trial whose designer raises Infeasible,
+    NoStableInterval, NumericalFailure or TimedOut (a search that found
+    nothing in time) counts against the fraction.
     ``design_method`` is ``weighted``/``binary``/``matching`` or a callable
     ``(model, network) -> DesignResult``.
     """
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
-    N, p = _parse_er_family(family)
+    kind, fields = _parse_spec(family, omit="seed")
     designer = _resolve_designer(design_method, margin)
 
     stable_count = 0
     for trial in range(trials):
-        network = make_network("er", N, p=p, seed=seed + trial)
+        network = make_network(kind, seed=seed + trial, **fields)
         try:
             stable_count += bool(designer(model, network).verified)
         except (Infeasible, NoStableInterval, NumericalFailure, TimedOut):

@@ -108,11 +108,16 @@ def test_non_finite_values_are_usage_errors(model_cfg, tmp_path, capsys):
             assert code == 2, (prefix, flag, value)
             assert "error:" in err and "Traceback" not in err, (prefix, flag, value, err)
     assert not (tmp_path / "sweep.csv").exists()
-    # a step count too large to preallocate (1e13 steps, 291 TiB), and a
-    # grid of 10^12 blocks of 2x2 (29 TiB); both fail to allocate at once
+    # a step count too large to preallocate (1e13 steps, 291 TiB), a grid of
+    # 10^12 blocks of 2x2 (29 TiB), both failing to allocate at once, and
+    # seeds that numpy refuses
     grid = ("msf", "grid", "--lambda", "-1:1", "--mu", "-1:1", "--steps", "1000000",
             "--out", tmp_path / "grid.csv")
-    for args in ((*simulate, "--dt=1e-12"), grid):
+    seeds = [("prob", "stability", "--family", "er:5:0.5", "--trials", "2", "--seed", "-3"),
+             ("design", "weighted", "--network", "er:5:0.5:-1"),
+             ("verify", "--plant", "complete:3", "--feedback", "zero", "--simulate",
+              "--x0", "random:-1")]
+    for args in ((*simulate, "--dt=1e-12"), grid, *seeds):
         assert run_cli(*args, "--model", model_cfg) == 2, args
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, err
@@ -163,6 +168,21 @@ def test_interval_csv(model_cfg, tmp_path):
     assert float(row7[2]) == pytest.approx(5.0, abs=1e-6)
     assert row7[3] == "inf"
     assert lines[3] == "60.0,0.0,58.0,inf"  # no window caps the mu axis
+
+
+def test_interval_of_complex_lambda(model_cfg, tmp_path, capsys):
+    out = tmp_path / "iv.csv"
+    code = run_cli("msf", "interval", "--model", model_cfg,
+                   "--lambda", "3+1j", "--lambda", "-1-0.5j", "--out", out)
+    assert code == 0
+    model = msfnet.load_model_config(model_cfg)
+    rows = out.read_text().splitlines()[1:]
+    for row, lam in zip(rows, (3 + 1j, -1 - 0.5j)):
+        iv = msfnet.stable_interval(model, lam)
+        assert row == f"{lam.real},{lam.imag},{iv.lower},{iv.upper}"
+    for bad in ("1+nanj", "3+1i"):
+        assert run_cli("msf", "interval", "--model", model_cfg, "--lambda", bad) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_interval_without_stable_region(unstabilizable_cfg, tmp_path, capsys):

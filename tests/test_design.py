@@ -197,6 +197,24 @@ def test_weighted_solves_one_interval_per_conjugate_class(unstabilizable_model,
     assert [index for index, _ in info.value.failed_modes] == [0, 1, 2, 3]
 
 
+def test_weighted_real_mode_keeps_real_lambda(paper_model):
+    # a seeded directed 0/1 network (draw 919 of default_rng(2)) with a mode
+    # at 9.1e-9 - 8.9e-11i: the key rounds its imaginary part to 0, so it
+    # is solved on the real pencils.  Its 2n complex embedding made LAPACK
+    # ggev fail (NumericalFailure)
+    rows = ["010000101", "000000010", "000000001", "000011010", "111001000",
+            "111100001", "010000000", "000000001", "100100000"]
+    net = msfnet.custom_network([[float(c) for c in row] for row in rows])
+    lam = msfnet.spectrum(net).eigenvalues[1]
+    assert abs(lam.real - 9.1e-9) < 1e-10 and abs(lam.imag) < 5e-10
+    result = msfnet.design_weighted(paper_model, net)
+    assert result.verified
+    assert result.max_real_part == pytest.approx(-0.005, abs=1e-9)
+    assert result.intervals[1].lam == lam.real
+    system = build_closed_loop(paper_model, net, result.feedback)
+    assert oracles.lyapunov_stable(system.Ftilde)
+
+
 def test_weighted_defective_complex_modes_raise(paper_model):
     # a Jordan block of 2 +- 3i: rounding splits the double pair by ~1e-7
     # into four modes that are not conjugate pairs, their gains differ by
@@ -509,6 +527,18 @@ def test_sweep_complete_past_fifty(paper_model):
     rows = msfnet.norm_sweep(paper_model, "complete", (50, 60))
     assert [r.status for r in rows] == ["ok"] * 11
     assert all(r.weighted_norm < r.matching_norm for r in rows)
+
+
+def test_sweep_er_family_matches_individual_designs(paper_model):
+    # a family is a spec without its size: er:p:seed sweeps er:N:p:seed
+    rows = msfnet.norm_sweep(paper_model, "er:0.4:3", (5, 8))
+    assert [r.N for r in rows] == [5, 6, 7, 8]
+    for row in rows:
+        net = msfnet.network_from_spec(f"er:{row.N}:0.4:3")
+        design = msfnet.design_weighted(paper_model, net)
+        assert row.weighted_norm == design.frobenius_norm
+        assert row.matching_norm == np.linalg.norm(net.adjacency, "fro")
+        assert row.status == ("ok" if design.verified else "unverified")
 
 
 @pytest.mark.parametrize("family", ["lattice:2", "ring:x", "ring", "ring:4:99"])

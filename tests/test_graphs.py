@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import msfnet
 import oracles
+from msfnet import graphs
 from msfnet.errors import BadParameter
 
 
@@ -44,12 +47,14 @@ def test_coupling_scales_adjacency():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(kind="ring", N=8, k=3),          # odd degree
-    dict(kind="ring", N=4, k=4),          # k >= N
-    dict(kind="er", N=4, p=1.5, seed=0),  # p out of range
-    dict(kind="er", N=4, p=0.5),          # missing seed
-    dict(kind="complete", N=1),           # too small
-    dict(kind="torus", N=4),              # unknown kind
+    dict(kind="ring", N=8, k=3),            # odd degree
+    dict(kind="ring", N=4, k=4),            # k >= N
+    dict(kind="er", N=4, p=1.5, seed=0),    # p out of range
+    dict(kind="er", N=4, p=0.5),            # missing seed
+    dict(kind="er", N=5, p=0.5, seed=-1),   # negative seed
+    dict(kind="er", N=5, p=0.5, seed=1.5),  # non-integer seed
+    dict(kind="complete", N=1),             # too small
+    dict(kind="torus", N=4),                # unknown kind
 ])
 def test_make_network_rejects_bad_parameters(kwargs):
     with pytest.raises(BadParameter):
@@ -79,6 +84,23 @@ def test_spec_strings():
     for bad in ("complete", "ring:8", "er:6:0.5", "blob:3", "complete:x"):
         with pytest.raises(BadParameter):
             msfnet.network_from_spec(bad)
+
+
+def test_spec_fields_are_make_network_keywords():
+    # every spec field is a keyword of make_network and has a cast, and
+    # every keyword but coupling is some kind's field
+    fields = {name for names in graphs._SPEC_FIELDS.values() for name in names}
+    keywords = set(inspect.signature(msfnet.make_network).parameters) - {"kind", "coupling"}
+    assert fields == keywords == set(graphs._FIELD_CASTS)
+    for kind in graphs._SPEC_FIELDS:
+        msfnet.make_network(kind, 6, k=2, p=0.5, seed=0)
+
+
+def test_adjacency_csv_rejects_non_text(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_bytes(b"\xff\xfe0,1\n1,0\n")
+    with pytest.raises(BadParameter, match="net.csv:1: bad CSV entry"):
+        msfnet.read_adjacency_csv(path)
 
 
 def test_adjacency_csv_round_trip(tmp_path):

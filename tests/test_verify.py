@@ -308,7 +308,8 @@ def test_probability_counts_timed_out_trial_as_failure(paper_model):
     assert estimate.stable_count == 3 and estimate.fraction == 0.5
 
 
-@pytest.mark.parametrize("family", ["er:4", "ring:4:2", "er:4:2.0", "er:x:0.5"])
+@pytest.mark.parametrize("family", ["er:4", "ring:4:2", "er:4:2.0", "er:x:0.5",
+                                    "complete:4"])
 def test_probability_rejects_bad_family(paper_model, family):
     with pytest.raises(BadParameter):
         msfnet.stability_probability(paper_model, family, trials=2, seed=0)
