@@ -1,8 +1,8 @@
 """Time-domain corroboration of the spectral verdicts.
 
-Integrates dx/dt = Ftilde x with fixed-step classical RK4 for the complete
-8-node plant network, once without feedback (unstable: the lambda = 7 mode
-grows) and once with the weighted design (all modes decay).
+Samples dx/dt = Ftilde x with the exact propagator expm(dt * Ftilde) for
+the complete 8-node plant network, once without feedback (unstable: the
+lambda = 7 mode grows) and once with the weighted design (all modes decay).
 """
 
 from pathlib import Path

@@ -353,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--feedback", required=True,
                         help="feedback network spec, CSV path, or 'zero'")
     verify.add_argument("--simulate", action="store_true",
-                        help="also integrate the closed loop")
+                        help="also simulate the closed loop")
     verify.add_argument("--t-end", type=float, default=10.0)
     verify.add_argument("--dt", type=float, default=None,
-                        help="RK4 step (default 1e-3 / spectral radius)")
+                        help="sample step (default 1e-3 / spectral radius)")
     verify.add_argument("--x0", default="ones", help="'ones' or 'random:SEED'")
     verify.add_argument("--out", help="trajectory CSV when simulating")
     verify.set_defaults(func=_cmd_verify)

@@ -3,11 +3,11 @@
 Three designers share one result type:
 
 * ``design_weighted`` — per-mode minimal gains in the plant network's
-  ordered Schur basis B = Q T Q*.  The feedback A = Q diag(mu) Q* is
-  triangular there with B, so the closed-loop spectrum splits into per-mode
-  blocks and ||A||_F = ||mu||_2: minimizing each ``|mu_i|`` inside its
-  stable interval minimizes the norm among real-gain feedbacks diagonal in
-  that basis, the paper's class when B is symmetric.
+  ordered real Schur basis B = Q T Q^T.  The feedback A = Q diag(mu) Q^T is
+  block triangular there with B, so the closed-loop spectrum splits into
+  per-mode blocks and ||A||_F = ||mu||_2: minimizing each ``|mu_i|`` inside
+  its stable interval minimizes the norm among real-gain feedbacks diagonal
+  in that basis, the paper's class when B is symmetric.
 * ``design_binary`` — exact branch and bound over binary link variables,
   minimizing the link count with a direct full-spectrum feasibility test.
 * ``design_matching`` — the classical baseline that replicates the plant
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, Infeasible, NoStableInterval, NumericalFailure, TimedOut
+from .errors import BadParameter, Infeasible, NoStableInterval, TimedOut
 from .graphs import Network, _mode_key, _parse_spec, make_network, spectrum
 from .model import PlantModel, _frozen, matching_gain
 from .msf import StableInterval, stable_interval
@@ -84,16 +84,15 @@ def design_weighted(model: PlantModel, plant_network: Network,
                     margin: float = 0.01) -> DesignResult:
     """Frobenius-minimal weighted feedback network.
 
-    Decomposes the plant network in its ordered Schur basis B = Q T Q*,
-    finds each mode's stable interval, picks the minimal-magnitude gain
-    ``margin`` inside it, and assembles the feedback as A = Q diag(mu) Q*:
-    norm-minimal among real-gain feedbacks diagonal in B's ordered Schur
-    basis, exactly the paper's class when B is symmetric.  A conjugate
-    pair, and modes that the spectrum's order ties, share one interval and
-    one gain: one ``stable_interval`` call per class of ``_mode_key``'s
-    (Re, |Im|).  Raises Infeasible listing every mode that has no stable
-    interval, and NumericalFailure when the gains of a conjugate mode pair
-    differ (defective or nearly repeated complex modes), leaving A complex.
+    Decomposes the plant network in its ordered real Schur basis
+    B = Q T Q^T, finds each mode's stable interval, picks the
+    minimal-magnitude gain ``margin`` inside it, and assembles the feedback
+    as A = Q diag(mu) Q^T: norm-minimal among real-gain feedbacks diagonal
+    in that basis, exactly the paper's class when B is symmetric.  Modes
+    with equal ``_mode_key`` (a 2x2 Schur block's conjugate pair, or modes
+    the order ties) share one ``stable_interval`` call and one gain, so each
+    2x2 block gets x*I_2 and A is real by construction.  Raises Infeasible
+    listing every mode that has no stable interval.
     """
     if not 0.0 < margin < np.inf:
         raise BadParameter(f"margin must be positive and finite, got {margin}")
@@ -102,7 +101,7 @@ def design_weighted(model: PlantModel, plant_network: Network,
     eigenvalues = decomposition.eigenvalues
 
     key = _mode_key(eigenvalues)
-    _, first, label = np.unique(key[:2], axis=1, return_index=True, return_inverse=True)
+    _, first, label = np.unique(key, axis=1, return_index=True, return_inverse=True)
     solved: list[StableInterval | None] = []
     for index in first:
         # a mode the key calls real gets a real lambda, not the complex path
@@ -120,15 +119,7 @@ def design_weighted(model: PlantModel, plant_network: Network,
     mode_gains = np.array([_pick_mode_gain(iv, margin) for iv in intervals])
 
     Q = decomposition.Q
-    feedback = Q @ np.diag(mode_gains.astype(Q.dtype)) @ Q.conj().T
-    if np.iscomplexobj(feedback):
-        residue = float(np.linalg.norm(feedback.imag, "fro"))
-        if residue > 1e-8 * max(1.0, np.linalg.norm(feedback, "fro")):
-            raise NumericalFailure(
-                f"feedback has imaginary residue {residue:.3e}; the gains of a "
-                "conjugate mode pair differ (defective or nearly repeated "
-                "complex modes)")
-        feedback = feedback.real
+    feedback = Q @ np.diag(mode_gains) @ Q.T
 
     verdict = spectral_verdict(build_closed_loop(model, plant_network, feedback))
     return DesignResult(

@@ -37,12 +37,11 @@ class Network:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues with a unitary basis Q and triangular factor T.
-
-    adjacency = Q T Q*; diag(T) equals ``eigenvalues``, which are sorted by
-    descending real part, then descending |imaginary part|, then descending
-    imaginary part, so each conjugate pair is adjacent (+ before -).
-    """
+    """Eigenvalues with a real orthogonal basis Q and factor T, adjacency =
+    Q T Q^T.  T is diagonal for a symmetric network, else quasi-triangular
+    (real Schur form): a 1x1 block holds a real eigenvalue and a 2x2 block
+    one conjugate pair, + first.  ``eigenvalues`` follow the blocks, sorted
+    by descending real part, then descending |imaginary part|."""
 
     eigenvalues: np.ndarray
     Q: np.ndarray
@@ -169,27 +168,46 @@ def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
 
 
 def _mode_key(eigenvalues: np.ndarray) -> np.ndarray:
-    """Rows (Re, |Im|, Im), each rounded to 9 decimals so rounding noise cannot
-    hide a tie: the spectrum is sorted by it, descending, and modes equal in
-    (Re, |Im|) are the same up to conjugation, so they share one interval."""
-    re, im = eigenvalues.real.round(9), eigenvalues.imag.round(9)
-    return np.stack((re, np.abs(im), im))
+    """Rows (Re, |Im|), each rounded to 9 decimals so rounding noise cannot
+    hide a tie: the spectrum is sorted by it, descending, and modes with
+    equal keys are the same up to conjugation, so they share one interval."""
+    return np.stack((eigenvalues.real.round(9), np.abs(eigenvalues.imag).round(9)))
+
+
+def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a standardized real Schur factor in diagonal order: a
+    1x1 block is real, and a 2x2 block [[a, b], [c, a]] gives a + i*sqrt(-bc)
+    first, then its conjugate."""
+    w = np.diag(T).astype(np.complex128)
+    i = np.flatnonzero(np.diag(T, -1))
+    w[i] += 1j * np.sqrt(np.abs(T[i, i + 1])) * np.sqrt(np.abs(T[i + 1, i]))
+    w[i + 1] = w[i].conj()
+    return w
 
 
 def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form with the diagonal sorted by descending ``_mode_key``
-    (equal keys keep their Schur order), so every leading block is
-    conjugate-closed.  LAPACK's ztrexc moves each eigenvalue into place."""
+    """Real Schur form a = Q T Q^T, its 1x1 and 2x2 diagonal blocks (a 2x2
+    block holds one conjugate pair) sorted by descending ``_mode_key``, ties
+    in Schur order.  LAPACK's dtrexc moves each block into place.  A move
+    can split a nearby 2x2 block of a defective cluster into two real ones
+    with other keys; the selection then starts over.  Splits only remove
+    2x2 blocks, so the last pass has none and leaves the order exact."""
     try:
-        T, Q = scipy.linalg.schur(a.astype(np.complex128), output="complex")
+        T, Q = scipy.linalg.schur(a, output="real")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
-    for p in range(T.shape[0] - 1):
-        j = p + np.lexsort(-_mode_key(np.diag(T)[p:])[::-1])[0]
+    p, pairs = 0, np.count_nonzero(np.diag(T, -1))
+    while p < len(T):
+        starts = p + np.flatnonzero(np.r_[True, np.diag(T, -1)[p:] == 0.0])
+        j = starts[np.lexsort(-_mode_key(_schur_eigenvalues(T)[starts])[::-1])[0]]
         if j != p:
-            T, Q, info = scipy.linalg.lapack.ztrexc(T, Q, j + 1, p + 1)
+            T, Q, info = scipy.linalg.lapack.dtrexc(T, Q, j + 1, p + 1)
             if info != 0:
-                raise NumericalFailure(f"Schur reordering failed (ztrexc info={info})")
+                raise NumericalFailure(f"Schur reordering failed (dtrexc info={info})")
+            if np.count_nonzero(np.diag(T, -1)) < pairs:
+                p, pairs = 0, np.count_nonzero(np.diag(T, -1))
+                continue
+        p += 1 if p + 1 == len(T) or T[p + 1, p] == 0.0 else 2
     return T, Q
 
 
@@ -197,7 +215,7 @@ def spectrum(network: Network) -> SpectralDecomposition:
     """Spectral decomposition of a network's adjacency matrix.
 
     A network flagged ``symmetric`` gets a real orthogonal eigenbasis with
-    diagonal T; anything else gets an ordered complex Schur form.  Eigenvalues
+    diagonal T; anything else gets an ordered real Schur form.  Eigenvalues
     are sorted as ``SpectralDecomposition`` states, so mode pairing is
     deterministic and each conjugate pair is adjacent.
     """
@@ -214,5 +232,5 @@ def spectrum(network: Network) -> SpectralDecomposition:
             Q=_frozen(v), T=_frozen(np.diag(w)),
         )
     T, Q = _ordered_schur(a)
-    return SpectralDecomposition(eigenvalues=_frozen(np.diag(T).copy()),
+    return SpectralDecomposition(eigenvalues=_frozen(_schur_eigenvalues(T)),
                                  Q=_frozen(Q), T=_frozen(T))

@@ -5,7 +5,7 @@ The full network dynamics are ``dx/dt = Ftilde x`` with
 adjacency entry (i, j) couples node j into node i).  This module builds
 that matrix directly and checks designs three independent ways: the full
 eigenvalue spectrum, the block spectrum-union identity available when A and
-B share a triangularizing basis, and time-domain integration.
+B share a triangularizing basis, and time-domain simulation.
 """
 
 from __future__ import annotations
@@ -15,22 +15,21 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure, TimedOut
 from .graphs import Network, _parse_spec, custom_network, make_network, spectrum
 from .model import PlantModel
 from .msf import _blocks, _rounding_floor
 
-#: Trajectory norm beyond which integration stops and reports divergence.
+#: Trajectory norm beyond which simulation stops and reports divergence.
 DIVERGENCE_LIMIT = 1e12
 
 
 def _adjacency(network) -> np.ndarray:
     if isinstance(network, Network):
         return network.adjacency
-    a = np.asarray(network)
-    if not np.iscomplexobj(a):
-        a = a.astype(np.float64, copy=False)
+    a = np.asarray(network, dtype=np.float64)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"adjacency must be square, got shape {a.shape}")
     return a
@@ -113,22 +112,26 @@ def spectrum_union_check(model: PlantModel, plant_network, mode_gains) -> float:
     """Deviation between the closed-loop spectrum and the union of per-mode
     block spectra, for a feedback built in the plant network's own basis.
 
-    Builds A = Q diag(mode_gains) Q* from the plant network's decomposition
-    (so joint triangularizability holds by construction), then greedily
-    pairs the N*n closed-loop eigenvalues with the union over i of the
-    eigenvalues of F + lambda_i H + mu_i G and returns the largest pair
-    distance.
+    Builds A = Q diag(mode_gains) Q^T in the plant network's real Schur
+    basis, then greedily pairs the N*n closed-loop eigenvalues with the
+    union over i of the eigenvalues of F + lambda_i H + mu_i G and returns
+    the largest pair distance.  Gains that are complex or differ within a
+    2x2 Schur block (one conjugate pair) raise BadParameter: that A would
+    not be block triangular with B.
     """
     B = _adjacency(plant_network)
     decomposition = spectrum(plant_network if isinstance(plant_network, Network)
                              else custom_network(B))
-    mu = np.asarray(mode_gains, dtype=np.complex128).ravel()
+    mu = np.asarray(mode_gains).ravel()
     if mu.shape[0] != B.shape[0]:
         raise DimensionMismatch(
             f"mode_gains has length {mu.shape[0]}, expected {B.shape[0]}")
+    pairs = np.flatnonzero(np.diag(decomposition.T, -1))
+    if np.iscomplexobj(mu) or np.any(mu[pairs] != mu[pairs + 1]):
+        raise BadParameter("mode_gains must be real and equal on each conjugate pair")
 
-    Q = decomposition.Q.astype(np.complex128)
-    system = build_closed_loop(model, B, Q @ np.diag(mu) @ Q.conj().T)
+    Q = decomposition.Q
+    system = build_closed_loop(model, B, Q @ np.diag(mu) @ Q.T)
     try:
         full = np.linalg.eigvals(system.Ftilde)
         blocks = np.linalg.eigvals(_blocks(model, decomposition.eigenvalues, mu)).ravel()
@@ -152,15 +155,6 @@ def _greedy_match_distance(left: np.ndarray, right: np.ndarray) -> float:
     return worst
 
 
-def _rk4_propagator(M: np.ndarray, h: float) -> np.ndarray:
-    # one classical RK4 step of dx/dt = M x collapses to a constant matrix
-    eye = np.eye(M.shape[0])
-    M2 = M @ M
-    M3 = M2 @ M
-    M4 = M3 @ M
-    return eye + h * M + (h * h / 2.0) * M2 + (h ** 3 / 6.0) * M3 + (h ** 4 / 24.0) * M4
-
-
 def default_time_step(system: ClosedLoopSystem) -> float:
     """1e-3 over the spectral radius (floored at 1)."""
     radius = float(np.max(np.abs(np.linalg.eigvals(system.Ftilde))))
@@ -169,9 +163,9 @@ def default_time_step(system: ClosedLoopSystem) -> float:
 
 def simulate(system: ClosedLoopSystem, x0, t_end: float,
              dt: float | None = None) -> SimulationResult:
-    """Fixed-step classical RK4 trajectory of dx/dt = Ftilde x.
+    """Trajectory of dx/dt = Ftilde x sampled every ``dt`` by expm(dt * Ftilde).
 
-    Integration stops early, with ``diverged`` set, once the state norm
+    The trajectory stops early, with ``diverged`` set, once the state norm
     exceeds 1e12; that is evidence of instability, not an error.  A non-finite
     ``x0`` or a step count too large to preallocate raises BadParameter.
     """
@@ -186,10 +180,10 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
     if not 0.0 < dt < t_end < np.inf:
         raise BadParameter(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
 
-    propagator = _rk4_propagator(system.Ftilde, dt)
+    propagator = scipy.linalg.expm(dt * system.Ftilde)
     try:
         n_steps = int(math.floor(t_end / dt + 1e-9))
-        trajectory = np.empty((n_steps + 1, size), dtype=np.result_type(propagator, x))
+        trajectory = np.empty((n_steps + 1, size))
     except (MemoryError, ValueError, OverflowError) as exc:
         raise BadParameter(f"cannot store {t_end / dt:.3g} steps of {size} states; "
                            f"use a larger dt or a shorter t_end") from exc

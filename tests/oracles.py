@@ -2,12 +2,13 @@
 
 Nothing here calls the library's evaluation paths: values come from the
 quadratic root formula, circulant eigenvalue sums, brute-force
-enumeration or a Lyapunov equation, so they can stand as oracles for the
-code under test.
+enumeration, a Lyapunov equation or exact rational arithmetic, so they can
+stand as oracles for the code under test.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -107,6 +108,55 @@ def lyapunov_stable(M) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _charpoly(M):
+    """Coefficients of det(sI - M), highest power first, by Berkowitz's
+    division-free algorithm (Inf. Process. Lett. 18(3), 1984): exact on a
+    square list of Python ints."""
+    poly = [1]
+    for k in range(len(M)):
+        # border the leading k x k block A with column C, row R and M[k][k]:
+        # p_{k+1} = q * p_k, q = (1, -M[k][k], -R C, -R A C, ..., -R A^{k-1} C)
+        q = [1, -M[k][k]]
+        v = [M[i][k] for i in range(k)]
+        for _ in range(k):
+            q.append(-sum(M[k][i] * v[i] for i in range(k)))
+            v = [sum(M[i][j] * v[j] for j in range(k)) for i in range(k)]
+        poly = [sum(q[m - j] * poly[j] for j in range(max(0, m - k - 1), min(m, k) + 1))
+                for m in range(k + 2)]
+    return poly
+
+
+def _routh_positive(coeffs) -> bool:
+    """Routh's test: every first-column entry of the Routh table of the
+    polynomial (coefficients highest power first, leading one positive) is
+    positive, which holds exactly when every root has negative real part."""
+    previous = [Fraction(c) for c in coeffs[0::2]]
+    current = [Fraction(c) for c in coeffs[1::2]]
+    for _ in range(len(coeffs) - 1):
+        if current[0] <= 0:
+            return False
+        current = current + [0] * (len(previous) - len(current))
+        previous, current = current, [previous[j + 1] - previous[0] * current[j + 1] / current[0]
+                                      for j in range(len(previous) - 1)]
+    return True
+
+
+def exact_hurwitz(F, H, G, B, A) -> bool:
+    """Whether I (x) F + B (x) H + A (x) G, with every stored float entry
+    taken as the dyadic rational it is, has all eigenvalues in the open left
+    half plane.  The matrix is built exactly (not from a rounded float
+    Ftilde) and scaled to integers by one power of two, the largest
+    denominator; then Berkowitz's characteristic polynomial and Routh's
+    test decide in exact arithmetic."""
+    F, H, G, B, A = ([[Fraction(float(x)) for x in row] for row in np.atleast_2d(m)]
+                     for m in (F, H, G, B, A))
+    N, n = len(B), len(F)
+    M = [[(F[r][s] if i == j else 0) + B[i][j] * H[r][s] + A[i][j] * G[r][s]
+          for j in range(N) for s in range(n)] for i in range(N) for r in range(n)]
+    scale = max(x.denominator for row in M for x in row)
+    return _routh_positive(_charpoly([[int(x * scale) for x in row] for row in M]))
 
 
 def random_plant(rng: np.random.Generator, n: int, m: int | None = None,

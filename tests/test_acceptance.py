@@ -166,7 +166,7 @@ def test_criterion_7_verdict_simulation_concordance():
                     np.linalg.norm(result.x[-1]) > np.linalg.norm(x0))
             checked += 1
 
-    _criterion(7, "spectral verdicts agree with RK4 trajectories on 50 "
+    _criterion(7, "spectral verdicts agree with expm trajectories on 50 "
                   "random instances (decay for stable, growth for unstable)",
                60.0, body)
 

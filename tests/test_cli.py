@@ -237,6 +237,22 @@ def test_design_weighted_on_directed_network(model_cfg, tmp_path, capsys):
                                                               abs=1e-12)
     assert np.linalg.norm(report["mode_gains"]) == pytest.approx(report["frobenius_norm"],
                                                                  abs=1e-9)
+    # a similarity of a Jordan block of 2 +- 3i (the first draw of
+    # default_rng(5)): its double pair splits into two nearby pairs, each a
+    # 2x2 real Schur block with one gain, so the feedback is real
+    plant.write_text(
+        "6.776512233747472,2.8732525444958332,3.8767176351160946,-1.707969481916371\n"
+        "7.171626056215562,-3.124453442863422,11.175761144954356,-3.001096943738648\n"
+        "2.701848487477958,-7.111223270834654,7.3804909356166135,-1.369567399644548\n"
+        "14.690697219310323,-8.402880613848435,15.632035647189495,-3.032549726500671\n")
+    code = run_cli("design", "weighted", "--model", model_cfg,
+                   "--network", plant, "--out", out)
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] is True
+    gains = report["mode_gains"]
+    assert gains[0] == gains[1] and gains[2] == gains[3]
+    assert np.linalg.norm(gains) == pytest.approx(report["frobenius_norm"], abs=1e-12)
 
 
 def test_design_matching_reports_norm(model_cfg, capsys):

@@ -10,8 +10,9 @@ import oracles
 from msfnet import design as design_module
 from msfnet import msf as msf_module
 from msfnet.design import _branch_entries
-from msfnet.errors import BadParameter, Infeasible, NumericalFailure
-from msfnet.verify import _verdicts, build_closed_loop
+from msfnet.errors import BadParameter, Infeasible
+from msfnet.model import matching_gain
+from msfnet.verify import _verdicts, build_closed_loop, spectral_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +199,15 @@ def test_weighted_solves_one_interval_per_conjugate_class(unstabilizable_model,
 
 
 def test_weighted_real_mode_keeps_real_lambda(paper_model):
-    # a seeded directed 0/1 network (draw 919 of default_rng(2)) with a mode
-    # at 9.1e-9 - 8.9e-11i: the key rounds its imaginary part to 0, so it
-    # is solved on the real pencils.  Its 2n complex embedding made LAPACK
-    # ggev fail (NumericalFailure)
+    # a seeded directed 0/1 network (draw 919 of default_rng(2)) with a
+    # defective mode near 0: given an imaginary part (9.1e-9 - 8.9e-11i in
+    # a complex Schur form), its 2n complex embedding makes LAPACK ggev
+    # fail.  Its real Schur block is 1x1, so the mode is exactly real
     rows = ["010000101", "000000010", "000000001", "000011010", "111001000",
             "111100001", "010000000", "000000001", "100100000"]
     net = msfnet.custom_network([[float(c) for c in row] for row in rows])
     lam = msfnet.spectrum(net).eigenvalues[1]
-    assert abs(lam.real - 9.1e-9) < 1e-10 and abs(lam.imag) < 5e-10
+    assert lam.imag == 0.0 and abs(lam.real - 1.28e-8) < 1e-10
     result = msfnet.design_weighted(paper_model, net)
     assert result.verified
     assert result.max_real_part == pytest.approx(-0.005, abs=1e-9)
@@ -215,26 +216,85 @@ def test_weighted_real_mode_keeps_real_lambda(paper_model):
     assert oracles.lyapunov_stable(system.Ftilde)
 
 
-def test_weighted_defective_complex_modes_raise(paper_model):
-    # a Jordan block of 2 +- 3i: rounding splits the double pair by ~1e-7
-    # into four modes that are not conjugate pairs, their gains differ by
-    # ~1e-8, and the feedback would keep an imaginary residue above the
-    # 1e-8 check.  Such a network is refused, never designed
+def _jordan_networks(count):
+    # similarities of a Jordan block of 2 +- 3i: rounding splits the double
+    # pair by ~1e-7 into two pairs of nearby modes
     C = np.array([[2.0, 3.0], [-3.0, 2.0]])
     J = np.block([[C, np.eye(2)], [np.zeros((2, 2)), C]])
     rng = np.random.default_rng(5)
-    raised = []
-    for draw in range(20):
+    for _ in range(count):
         S = rng.standard_normal((4, 4))
-        net = msfnet.custom_network(S @ J @ np.linalg.inv(S))
-        try:
-            result = msfnet.design_weighted(paper_model, net)
-        except NumericalFailure as exc:
-            assert "gains of a conjugate mode pair differ" in str(exc)
-            raised.append(draw)
-            continue
+        yield msfnet.custom_network(S @ J @ np.linalg.inv(S))
+
+
+#: Draw 523 of the directed 0/1 networks of default_rng(2): a defective
+#: eigenvalue -1 that made LAPACK ggev fail on the complex Schur basis.
+_GGEV_523 = ["01000011", "10001000", "00000100", "01000110", "01000010",
+             "00100000", "11110001", "10100000"]
+
+
+def test_weighted_designs_defective_complex_modes(paper_model):
+    # each 2x2 real Schur block is one conjugate pair with one gain, so the
+    # feedback is real by construction, however the double pair splits
+    for net in _jordan_networks(20):
+        result = msfnet.design_weighted(paper_model, net)
         assert result.verified
-    assert 0 in raised and len(raised) >= 5
+        assert result.feedback.dtype == np.float64
+        assert abs(result.frobenius_norm - np.linalg.norm(result.mode_gains)) <= 1e-12
+        system = build_closed_loop(paper_model, net, result.feedback)
+        assert oracles.lyapunov_stable(system.Ftilde)
+
+
+def test_weighted_designs_defective_real_mode(paper_model):
+    net = msfnet.custom_network([[float(c) for c in row] for row in _GGEV_523])
+    result = msfnet.design_weighted(paper_model, net)
+    assert result.verified
+    assert abs(result.frobenius_norm - np.linalg.norm(result.mode_gains)) <= 1e-12
+    system = build_closed_loop(paper_model, net, result.feedback)
+    assert oracles.lyapunov_stable(system.Ftilde)
+
+
+def _ggev_networks():
+    # draws 258, 523, 811 and 865 of the directed 0/1 networks of
+    # default_rng(2): defective modes whose complex embedding made ggev fail
+    rng = np.random.default_rng(2)
+    for draw in range(866):
+        N = int(rng.integers(3, 12))
+        a = (rng.random((N, N)) < 0.3).astype(float)
+        np.fill_diagonal(a, 0.0)
+        if draw in (258, 523, 811, 865):
+            yield msfnet.custom_network(a)
+
+
+def test_no_design_is_stable_by_float_yet_exactly_unstable(paper_model):
+    # the exact verdict on the stored loop (every float a dyadic rational)
+    # against the floored float verdict: pinned on loops at or near the
+    # stability boundary, and Hurwitz on the directed designs of the real
+    # Schur basis.  At margin 1e-300, complete:3's gain 1e-300 is lost when
+    # Ftilde is rounded but not in the exact loop; ring:6:2 gets no gain,
+    # leaving its lam = 2 mode at +-i sqrt(5), as is the K2 matching loop
+    k2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    matched = paper_model.with_loop_gain(matching_gain(paper_model)[0])
+    loops = [(matched, k2, k2, False)]
+    # one node: F + lam H + mu G is Hurwitz exactly when mu > lam - 2
+    # (oracles.sigma_closed); dyadic gains 2^-40 either side of it, and on it
+    for mu, exact in ((1.0 + 2.0 ** -40, True), (1.0, False), (1.0 - 2.0 ** -40, False)):
+        loops.append((paper_model, [[3.0]], [[mu]], exact))
+    for spec, exact in (("complete:3", True), ("ring:6:2", False), ("complete:4", True)):
+        net = msfnet.network_from_spec(spec)
+        result = msfnet.design_weighted(paper_model, net, margin=1e-300)
+        loops.append((paper_model, net.adjacency, result.feedback, exact))
+    # modes decaying at ~5e-9, below the float loop's rounding floor
+    net = msfnet.network_from_spec("complete:3", coupling=1e9)
+    loops.append((paper_model, net.adjacency, msfnet.design_weighted(paper_model, net).feedback, True))
+    for net in [*_jordan_networks(20), *_ggev_networks()]:
+        result = msfnet.design_weighted(paper_model, net)
+        assert result.verified
+        loops.append((paper_model, net.adjacency, result.feedback, True))
+    for model, B, A, exact in loops:
+        assert oracles.exact_hurwitz(model.F, model.H, model.G, B, A) is exact
+        if spectral_verdict(build_closed_loop(model, B, A)).stable:
+            assert exact
 
 
 def test_weighted_rejects_nonpositive_margin(paper_model, complete8):

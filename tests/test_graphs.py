@@ -149,19 +149,38 @@ def test_zero_matrix_spectrum():
 
 
 def _order_key(z):
-    # the documented ordering: descending real part, then |imaginary part|,
-    # then imaginary part, with 9-decimal rounding so rounding noise cannot
+    # the documented ordering: descending real part, then descending
+    # |imaginary part|, with 9-decimal rounding so rounding noise cannot
     # hide ties
-    re, im = round(float(np.real(z)), 9), round(float(np.imag(z)), 9)
-    return (-re, -abs(im), -im)
+    return (-round(float(np.real(z)), 9), -round(abs(float(np.imag(z))), 9))
 
 
 def _check_decomposition(a, dec, n):
+    # a = Q T Q^T with Q real orthogonal and T quasi-triangular: zero below
+    # the first subdiagonal, whose nonzeros start 2x2 blocks that never
+    # overlap.  A 1x1 block holds a real eigenvalue; a standardized 2x2
+    # block [[x, b], [c, x]] holds x + i sqrt(-bc) and then its conjugate
     scale = max(np.linalg.norm(a, "fro"), 1e-30)
-    assert np.linalg.norm(dec.Q @ dec.Q.conj().T - np.eye(n), "fro") <= 1e-10 * n
-    assert np.linalg.norm(dec.Q @ dec.T @ dec.Q.conj().T - a, "fro") <= 1e-8 * scale
-    npt.assert_array_equal(np.diag(dec.T), dec.eigenvalues)
-    assert list(dec.eigenvalues) == sorted(dec.eigenvalues, key=_order_key)
+    assert dec.Q.dtype == np.float64 and dec.T.dtype == np.float64
+    assert np.linalg.norm(dec.Q.T @ dec.Q - np.eye(n), "fro") <= 1e-10 * n
+    assert np.linalg.norm(dec.Q @ dec.T @ dec.Q.T - a, "fro") <= 1e-8 * scale
+    assert np.all(np.tril(dec.T, -2) == 0.0)
+    sub = np.diag(dec.T, -1) != 0.0
+    assert not np.any(sub[:-1] & sub[1:])
+    w = dec.eigenvalues
+    i = 0
+    while i < n:
+        if i + 1 < n and sub[i]:
+            block = dec.T[i:i + 2, i:i + 2]
+            assert block[0, 0] == block[1, 1] and block[0, 1] * block[1, 0] < 0.0
+            assert w[i].real == w[i + 1].real == block[0, 0]
+            assert w[i].imag > 0.0 and w[i + 1] == np.conj(w[i])
+            npt.assert_allclose(w[i].imag ** 2, -block[0, 1] * block[1, 0], rtol=1e-12)
+            i += 2
+        else:
+            assert w[i] == dec.T[i, i]
+            i += 1
+    assert list(w) == sorted(w, key=_order_key)
 
 
 def test_reconstruction_on_random_symmetric_networks():
@@ -197,7 +216,8 @@ def test_schur_path_on_random_nonsymmetric_matrices():
         matrices.append(a)
     for _ in range(20):
         # sparse directed 0/1 networks: repeated eigenvalues and conjugate
-        # pairs, so the reordering makes many long moves
+        # pairs, so the reordering makes many long moves; in one, a move
+        # splits a 0 +- 1.1e-8i block into two real ones
         n = int(rng.integers(10, 61))
         a = (rng.random((n, n)) < rng.uniform(0.03, 0.2)).astype(float)
         np.fill_diagonal(a, 0.0)
@@ -212,8 +232,6 @@ def test_schur_path_on_random_nonsymmetric_matrices():
         assert not net.symmetric
         dec = msfnet.spectrum(net)
         _check_decomposition(a, dec, n)
-        # strictly triangular below the diagonal
-        assert np.all(np.tril(dec.T, -1) == 0.0)
 
 
 def test_near_symmetric_network_takes_the_symmetric_path():

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import msfnet
 import oracles
@@ -157,6 +158,18 @@ def test_union_rejects_wrong_gain_count(paper_model, complete8):
         msfnet.spectrum_union_check(paper_model, complete8, [1.0, 2.0])
 
 
+def test_union_rejects_gains_the_real_basis_cannot_hold(paper_model):
+    # the directed 4-cycle's modes 1, i, -i, -1: i and -i share one 2x2
+    # real Schur block, so A = Q diag(mu) Q^T is block triangular with B only
+    # when their gains are equal and real
+    cycle = np.roll(np.eye(4), 1, axis=0)
+    assert msfnet.spectrum_union_check(paper_model, cycle, [0.5, 1.0, 1.0, 0.1]) <= 1e-7
+    for gains in ([0.5, 1.0, 2.0, 0.1], [0.5, 1.0 + 0.5j, 1.0 - 0.5j, 0.1],
+                  np.array([0.5, 1.0, 1.0, 0.1], dtype=complex)):
+        with pytest.raises(BadParameter):
+            msfnet.spectrum_union_check(paper_model, cycle, gains)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -180,6 +193,19 @@ def test_simulate_stable_design_decays(paper_model, complete8):
     result = msfnet.simulate(system, np.ones(16), t_end=t_end, dt=0.05)
     assert not result.diverged
     assert np.linalg.norm(result.x[-1]) < 1e-2 * np.linalg.norm(np.ones(16))
+
+
+def test_simulate_samples_the_exact_flow(paper_model, complete8):
+    # each sample is the last one times expm(dt * Ftilde), so even a coarse
+    # step lands on expm(t * Ftilde) x0 to rounding (RK4 at dt = 0.25 is
+    # 8e-3 off here)
+    design = msfnet.design_weighted(paper_model, complete8)
+    system = msfnet.build_closed_loop(paper_model, complete8, design.feedback)
+    x0 = np.random.default_rng(3).standard_normal(16)
+    for dt in (0.1, 0.25):
+        result = msfnet.simulate(system, x0, t_end=6.0, dt=dt)
+        exact = scipy.linalg.expm(result.t[-1] * system.Ftilde) @ x0
+        assert np.linalg.norm(result.x[-1] - exact) <= 1e-13 * np.linalg.norm(exact)
 
 
 def test_simulate_unstable_system_diverges():
