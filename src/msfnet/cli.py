@@ -21,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .design import design_binary, design_matching, design_weighted, norm_sweep
@@ -106,6 +105,7 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _write_manifest(args: argparse.Namespace, primary_out) -> None:
+    import scipy
     directory = Path(primary_out).parent
     skip = {"func", "command", "subcommand"}
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))

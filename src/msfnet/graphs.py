@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadParameter, NumericalFailure
 from .model import _frozen
@@ -53,8 +52,11 @@ def _wrap(adjacency: np.ndarray, kind: str, coupling: float = 1.0) -> Network:
         a = coupling * np.asarray(adjacency, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise BadParameter("adjacency contains non-finite entries (check the coupling)")
-    scale = max(1.0, float(np.linalg.norm(a, "fro")))
-    symmetric = bool(np.linalg.norm(a - a.T, "fro") <= _SYM_TOL * scale)
+    # both norms are taken of a divided by its largest entry, so no square overflows
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    b = a / scale
+    symmetric = bool(np.linalg.norm(b - b.T, "fro")
+                     <= _SYM_TOL * max(1.0 / scale, float(np.linalg.norm(b, "fro"))))
     return Network(adjacency=_frozen(a), size=a.shape[0], kind=kind, symmetric=symmetric)
 
 
@@ -170,8 +172,12 @@ def network_from_spec(spec: str, *, coupling: float = 1.0) -> Network:
 def _mode_key(eigenvalues: np.ndarray) -> np.ndarray:
     """Rows (Re, |Im|), each rounded to 9 decimals so rounding noise cannot
     hide a tie: the spectrum is sorted by it, descending, and modes with
-    equal keys are the same up to conjugation, so they share one interval."""
-    return np.stack((eigenvalues.real.round(9), np.abs(eigenvalues.imag).round(9)))
+    equal keys are the same up to conjugation, so they share one interval.
+    A part beyond about 1.8e299, whose rounding would overflow, is kept as is."""
+    parts = np.stack((eigenvalues.real, np.abs(eigenvalues.imag)))
+    with np.errstate(over="ignore"):
+        rounded = parts.round(9)
+    return np.where(np.isfinite(rounded), rounded, parts)
 
 
 def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
@@ -192,9 +198,12 @@ def _ordered_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     can split a nearby 2x2 block of a defective cluster into two real ones
     with other keys; the selection then starts over.  Splits only remove
     2x2 blocks, so the last pass has none and leaves the order exact."""
+    # scipy.linalg is imported where it is called: loading it costs about 0.2 s,
+    # which every process that never calls it (msf grid, verify, --version) would pay
+    import scipy.linalg
     try:
         T, Q = scipy.linalg.schur(a, output="real")
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
     p, pairs = 0, np.count_nonzero(np.diag(T, -1))
     while p < len(T):
@@ -222,7 +231,7 @@ def spectrum(network: Network) -> SpectralDecomposition:
     a = network.adjacency
     if network.symmetric:
         try:
-            w, v = np.linalg.eigh((a + a.T) / 2.0)
+            w, v = np.linalg.eigh(a / 2.0 + a.T / 2.0)  # no sum can overflow
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
         order = np.argsort(-w)

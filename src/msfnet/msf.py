@@ -10,10 +10,10 @@ nearest the origin, which is what the norm-minimal designer consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadParameter, NoStableInterval, NumericalFailure
 from .model import PlantModel
@@ -30,9 +30,11 @@ class StableInterval:
     """Maximal interval of the real mu axis with sigma(lam, mu) < 0.
 
     A finite end is a pencil root where sigma changes sign; an infinite end
-    means sigma stays negative all the way.  An infinite pencil eigenvalue
-    can surface as a finite root of order 1/eps, so an end that large may
-    stand for infinity: the interval is then a subset of the true one.
+    means sigma stays negative all the way.  Beyond about 1/eps times the
+    matrices' scale an end can be wrong either way: an infinite pencil
+    eigenvalue can surface as a finite root that large (a subset of the
+    true interval), and a true root that large can be lost (a superset).
+    Design gains sit near the origin and are not affected.
     """
 
     lam: complex
@@ -104,6 +106,10 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
                            f"use fewer steps") from exc
 
 
+# a term beyond the largest float becomes inf with no numpy warning (and nan
+# where the bialternate multiplies it by 0): a pencil entry that overflows
+# fails eigvals' finiteness check, and a point whose terms overflow is never stable
+@np.errstate(over="ignore", invalid="ignore")
 def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     """Negative-sigma interval on the real mu axis nearest the origin.
 
@@ -117,25 +123,30 @@ def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     segment gets a second evaluation a unit inside its finite end nearest
     the origin (or counts as unstable).  Adjacent stable segments merge,
     and the merged interval minimizing distance to mu = 0 is returned (ties
-    resolved toward the negative side, then by lower endpoint).  Raises
-    NoStableInterval when no segment is stable.
+    resolved toward the negative side, then by lower endpoint).  A segment
+    whose classifying point has terms beyond the largest float counts as
+    unstable.  Raises NoStableInterval when no segment is stable, and
+    BadParameter when |lam| or an entry of a pencil overflows.
     """
     if not np.isfinite(lam):
         raise BadParameter(f"lambda must be finite, got {lam}")
+    z = complex(lam)
+    if not math.isfinite(abs(z.real) + abs(z.imag)):  # abs(lam) would raise OverflowError
+        raise BadParameter(f"lambda={lam} overflows: |Re| + |Im| exceeds the largest float")
 
-    cuts = np.concatenate(([-np.inf], np.unique(_sign_change_candidates(model, complex(lam))),
-                           [np.inf]))
+    cuts = np.concatenate(([-np.inf], np.unique(_sign_change_candidates(model, z)), [np.inf]))
     lo, hi = cuts[:-1], cuts[1:]
     # classify at the interior point nearest the origin, kept well inside:
     # an infinite pencil eigenvalue can surface as a finite root near 1/eps,
     # and a midpoint out there would drown sigma in rounding error
     near = np.minimum(np.maximum(0.0, lo), hi)
-    step = np.minimum(0.5 * (hi - lo), np.maximum(1.0, np.abs(near)))
+    half = 0.5 * (hi - lo)
+    step = np.minimum(half, np.maximum(1.0, np.abs(near)))
     points = np.minimum(np.maximum(near, lo + step), hi - step)
     # sigma must clear the rounding error of its own eigensolve, so a
     # boundary grazing a classifying point cannot leave a stable sliver behind
-    values = sigma(model, lam, points)
     floors = _term_floor(model, lam, points)
+    values = _sigma_where_finite(model, lam, points, floors)
     stable = values < -floors
     # far from its finite ends sigma can shrink into the rounding error (at
     # |lam| ~ 1e9 it is ~ 5/(lam - mu) near the origin); such a segment gets
@@ -150,8 +161,9 @@ def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
         limit = (1e3 * (np.linalg.norm(model.F) + abs(lam) * np.linalg.norm(model.H)) / norm_G
                  if norm_G else np.inf)
         redo &= np.isfinite(end) & (np.abs(end) <= limit)
-        retry = (end + np.where(from_lo, 1.0, -1.0) * np.minimum(1.0, 0.5 * (hi - lo)))[redo]
-        stable[redo] = sigma(model, lam, retry) < -_term_floor(model, lam, retry)
+        retry = (end + np.where(from_lo, 1.0, -1.0) * np.minimum(1.0, half))[redo]
+        retry_floors = _term_floor(model, lam, retry)
+        stable[redo] = _sigma_where_finite(model, lam, retry, retry_floors) < -retry_floors
     # a run of stable segments a..b-1 merges into [cuts[a], cuts[b]]
     edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
     candidates = [StableInterval(lam, float(cuts[a]), float(cuts[b]))
@@ -161,8 +173,20 @@ def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     return min(candidates, key=_selection_key)
 
 
+def _sigma_where_finite(model: PlantModel, lam: complex, points: np.ndarray,
+                        floors: np.ndarray) -> np.ndarray:
+    """sigma at the points whose term floor is finite, nan at the others: a
+    point whose terms overflow cannot be classified, so it is never stable."""
+    values = np.full(points.shape, np.nan)
+    finite = np.isfinite(floors)
+    values[finite] = sigma(model, lam, points[finite])
+    return values
+
+
 def _sign_change_candidates(model: PlantModel, lam: complex) -> np.ndarray:
-    """Real parts of the real and near-real finite roots of both pencils."""
+    """Real parts of the real and near-real finite roots of both pencils.
+    Raises BadParameter when an entry of a pencil overflows."""
+    import scipy.linalg
     M0 = model.F + lam.real * model.H
     G = model.G
     if lam.imag:
@@ -179,6 +203,8 @@ def _sign_change_candidates(model: PlantModel, lam: complex) -> np.ndarray:
         ])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"pencil eigenvalues failed at lambda={lam}: {exc}") from exc
+    except ValueError as exc:
+        raise BadParameter(f"lambda={lam} overflows the pencil F + lambda*H") from exc
     roots = roots[np.isfinite(roots)]
     near_real = np.abs(roots.imag) <= _NEAR_REAL * np.maximum(1.0, np.abs(roots.real))
     return roots.real[near_real]

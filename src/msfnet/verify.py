@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadParameter, DimensionMismatch, Infeasible, NoStableInterval, NumericalFailure, TimedOut
 from .graphs import Network, _parse_spec, custom_network, make_network, spectrum
@@ -180,6 +179,7 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
     if not 0.0 < dt < t_end < np.inf:
         raise BadParameter(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
 
+    import scipy.linalg
     propagator = scipy.linalg.expm(dt * system.Ftilde)
     try:
         n_steps = int(math.floor(t_end / dt + 1e-9))

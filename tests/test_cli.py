@@ -200,6 +200,24 @@ def test_interval_at_huge_lambda_does_not_overflow(model_cfg, capsys):
     assert captured.err == ""
 
 
+def test_extreme_lambda_and_coupling_end_without_overflow(model_cfg, capsys):
+    # pytest turns numpy's overflow warnings into errors.  At |lam| = 1e306
+    # the retry limit passes the largest float; at 8e307 so does the term
+    # scale at the classifying point mu = 2 lam, and at 1e308 that point
+    # itself; such a point counts as unstable
+    for lam in ("1e306", "-1e306", "8e307", "-8e307", "1e308", "-1e308"):
+        assert run_cli("msf", "interval", "--model", model_cfg, "--lambda", lam) == 1
+        assert "no stable interval" in capsys.readouterr().out
+    # squares of the adjacency and 9-decimal rounding of the modes overflow
+    code = run_cli("design", "weighted", "--model", model_cfg,
+                   "--network", "complete:3", "--coupling", "1e300")
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "infeasible"
+    # the two modes near -1e300 differ in their last bits: each is listed
+    assert report["detail"].count("lambda_") == 3
+
+
 def test_design_weighted_outputs(model_cfg, tmp_path, capsys):
     out = tmp_path / "A.csv"
     report_path = tmp_path / "report.json"
@@ -432,12 +450,45 @@ def test_repeated_runs_are_byte_identical(model_cfg, tmp_path):
     assert (tmp_path / "run-manifest.txt").read_bytes() == manifest_first
 
 
-def test_console_entry_point_subprocess():
-    # the child imports the same msfnet as this process, installed or not
+def _child(*args, cwd=None) -> str:
+    """Stdout of a fresh Python process that imports the same msfnet as this
+    one, installed or not."""
     src = str(Path(msfnet.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "msfnet", "--version"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert msfnet.__version__ in proc.stdout
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_console_entry_point_subprocess():
+    assert msfnet.__version__ in _child("-m", "msfnet", "--version")
+
+
+def test_scipy_linalg_loads_only_where_it_is_called(model_cfg, tmp_path, monkeypatch):
+    # importing scipy.linalg costs a process about 0.2 s, so a command that
+    # calls no routine of it must not load it
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _child("-c", f"import sys, msfnet, msfnet.cli; {loaded}") == "[]\n"
+    model = str(model_cfg)
+    numeric = [["msf", "grid", "--model", model, "--lambda", "-5:5", "--mu", "-5:5",
+                "--steps", "11", "--out", "grid.csv"],
+               ["verify", "--model", model, "--plant", "complete:4", "--feedback", "zero"]]
+    linalg = [["design", "weighted", "--model", model, "--network", "complete:8",
+               "--out", "A.csv", "--report", "report.json"],
+              ["verify", "--model", model, "--plant", "complete:8", "--feedback", "A.csv",
+               "--simulate", "--t-end", "1", "--dt", "0.01", "--out", "traj.csv"]]
+    for commands, expected in ((numeric, False), (linalg, True)):
+        run = f"for argv in {commands!r}: main(argv)"
+        out = _child("-c", f"import sys; from msfnet.cli import main\n{run}\n"
+                           "print('scipy.linalg' in sys.modules)", cwd=tmp_path)
+        assert out.splitlines()[-1] == str(expected)
+    # the fresh process writes what this one, which has scipy loaded, writes
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for argv in linalg:
+        run_cli(*argv)
+    for name in ("A.csv", "report.json", "traj.csv", "run-manifest.txt"):
+        assert (here / name).read_bytes() == (tmp_path / name).read_bytes(), name

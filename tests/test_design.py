@@ -76,6 +76,21 @@ def test_weighted_gains_are_minimal(paper_model, ring8):
         assert not (interval.lower < 0.0 < interval.upper)
 
 
+def test_weighted_loop_is_the_eigenvalue_clip(paper_model):
+    # G = -H, so a symmetric loop coupling C = B - A is stable iff
+    # lambda_max(C) < 2, and the Frobenius-nearest such C with lambda_max at
+    # most 2 - margin is B with its eigenvalues clipped there: the weighted
+    # design is the norm minimum over all symmetric feedbacks, not only those
+    # sharing B's eigenbasis
+    margin = 0.01
+    for spec in ("complete:8", "ring:12:4", "er:20:0.3:4", "ring:30:4"):
+        B = msfnet.network_from_spec(spec).adjacency
+        w, V = np.linalg.eigh(B)
+        clip = V @ np.diag(np.minimum(w, 2.0 - margin)) @ V.T
+        A = msfnet.design_weighted(paper_model, msfnet.network_from_spec(spec), margin).feedback
+        assert np.max(np.abs((B - A) - clip)) <= 1e-12, spec
+
+
 def test_weighted_margin_kept_at_boundary_near_zero(paper_model):
     # this network has plant eigenvalue 2 up to rounding, so that mode's
     # stable interval (lambda - 2, 50] starts a rounding error from zero;

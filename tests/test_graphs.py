@@ -245,6 +245,18 @@ def test_near_symmetric_network_takes_the_symmetric_path():
     npt.assert_array_equal(dec.T, np.diag(np.diag(dec.T)))
 
 
+def test_huge_directed_cycle_stays_directed():
+    # squares of entries above ~1.3e154 overflow a plain Frobenius norm, which
+    # once called this cycle symmetric and gave it real eigenvalues
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    for scale in (1e155, 1e300):
+        net = msfnet.custom_network(cycle * scale)
+        assert not net.symmetric
+        dec = msfnet.spectrum(net)
+        npt.assert_allclose(dec.eigenvalues / scale,
+                            [1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j], atol=1e-12)
+
+
 def test_directed_cycle_spectrum_ordering():
     # eigenvalues are the 4th roots of unity; conjugates orderd +i before -i
     shift = np.roll(np.eye(4), 1, axis=0)

@@ -149,6 +149,18 @@ def test_interval_rejects_non_finite_lambda(paper_model):
             msfnet.stable_interval(paper_model, lam)
 
 
+def test_interval_raises_where_a_pencil_overflows():
+    # with H = I the bialternate of F + lam*H holds 2*lam, beyond the largest
+    # float at |lam| = 1e308; a complex lam whose |Re| + |Im| overflows has
+    # no representable scale at all
+    model = msfnet.build_plant_model(-np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    for lam in (1e308, -1e308):
+        with pytest.raises(BadParameter, match="overflows the pencil"):
+            msfnet.stable_interval(model, lam)
+    with pytest.raises(BadParameter, match="exceeds the largest float"):
+        msfnet.stable_interval(model, complex(1e308, 1e308))
+
+
 @pytest.mark.parametrize("lam", [7.0, 3.0, 2.0, -1.0, 60.0])
 def test_interval_soundness(paper_model, lam):
     iv = msfnet.stable_interval(paper_model, lam)
