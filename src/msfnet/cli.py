@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also simulate the closed loop")
     verify.add_argument("--t-end", type=float, default=10.0)
     verify.add_argument("--dt", type=float, default=None,
-                        help="sample step (default 1e-3 / spectral radius)")
+                        help="sample step (default t_end / 1000)")
     verify.add_argument("--x0", default="ones", help="'ones' or 'random:SEED'")
     verify.add_argument("--out", help="trajectory CSV when simulating")
     verify.set_defaults(func=_cmd_verify)

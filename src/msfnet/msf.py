@@ -89,13 +89,20 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
 
     ``steps`` is the number of points per axis, at least 2.  Returns
     ``(lams, mus, values)`` with ``values[i, j] = sigma(model, lams[i], mus[j])``.
-    A grid too large to store raises BadParameter.
+    A grid too large to store, or one whose range width or blocks overflow,
+    raises BadParameter.
     """
     lam_lo, lam_hi = _finite_range("lambda_range", lambda_range)
     mu_lo, mu_hi = _finite_range("mu_range", mu_range)
     steps = int(steps)
     if steps < 2:
         raise BadParameter(f"steps must be >= 2 per axis, got {steps}")
+    # each entry of F + lam*H + mu*G is monotone in lam and in mu, rounding
+    # included, so the grid's largest entries sit at its corners
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = _blocks(model, np.array([[lam_lo], [lam_hi]]), np.array([mu_lo, mu_hi]))
+    if not np.isfinite(corners).all():
+        raise BadParameter("F + lambda*H + mu*G overflows at a corner of the grid")
 
     try:
         lams = np.linspace(lam_lo, lam_hi, steps)
@@ -228,8 +235,9 @@ def _finite_range(name: str, value) -> tuple[float, float]:
         lo, hi = float(value[0]), float(value[1])
     except (TypeError, ValueError, IndexError) as exc:
         raise BadParameter(f"{name} must be a (low, high) pair, got {value!r}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise BadParameter(f"{name} must be finite with low < high, got {value!r}")
+    if not math.isfinite(hi - lo) or lo >= hi:  # hi - lo is inf when the width overflows
+        raise BadParameter(f"{name} must be finite with low < high and a width high - low "
+                           f"that does not overflow, got {value!r}")
     return lo, hi
 
 

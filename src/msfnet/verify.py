@@ -23,6 +23,7 @@ from .msf import _blocks, _rounding_floor
 
 #: Trajectory norm beyond which simulation stops and reports divergence.
 DIVERGENCE_LIMIT = 1e12
+_SAMPLE_INTERVALS = 1000  # simulate's default: equal intervals over [0, t_end]
 
 
 def _adjacency(network) -> np.ndarray:
@@ -154,19 +155,16 @@ def _greedy_match_distance(left: np.ndarray, right: np.ndarray) -> float:
     return worst
 
 
-def default_time_step(system: ClosedLoopSystem) -> float:
-    """1e-3 over the spectral radius (floored at 1)."""
-    radius = float(np.max(np.abs(np.linalg.eigvals(system.Ftilde))))
-    return 1e-3 / max(1.0, radius)
-
-
 def simulate(system: ClosedLoopSystem, x0, t_end: float,
              dt: float | None = None) -> SimulationResult:
-    """Trajectory of dx/dt = Ftilde x sampled every ``dt`` by expm(dt * Ftilde).
+    """Trajectory of dx/dt = Ftilde x sampled every ``dt`` (default t_end / 1000)
+    by expm(dt * Ftilde): each sample is the exact flow of the last.
 
     The trajectory stops early, with ``diverged`` set, once the state norm
-    exceeds 1e12; that is evidence of instability, not an error.  A non-finite
-    ``x0`` or a step count too large to preallocate raises BadParameter.
+    exceeds 1e12 or a step overflows (that step is dropped); that is evidence
+    of instability, not an error.  A non-finite ``x0`` or a step count too large
+    to preallocate raises BadParameter; under Linux overcommit an explicit ``dt``
+    asking for ~1e8 steps fills memory row by row instead.
     """
     x = np.asarray(x0, dtype=np.float64).ravel()
     size = system.N * system.n
@@ -174,27 +172,29 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
         raise DimensionMismatch(f"x0 has length {x.shape[0]}, expected {size}")
     if not np.all(np.isfinite(x)):
         raise BadParameter("x0 must be finite")
-    if dt is None:
-        dt = default_time_step(system)
+    t_max = t_end if dt is None else np.inf  # 1000 * (t_end / 1000) can pass t_end
+    dt = t_end / _SAMPLE_INTERVALS if dt is None else dt
     if not 0.0 < dt < t_end < np.inf:
         raise BadParameter(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
 
-    import scipy.linalg
-    propagator = scipy.linalg.expm(dt * system.Ftilde)
     try:
         n_steps = int(math.floor(t_end / dt + 1e-9))
         trajectory = np.empty((n_steps + 1, size))
     except (MemoryError, ValueError, OverflowError) as exc:
         raise BadParameter(f"cannot store {t_end / dt:.3g} steps of {size} states; "
                            f"use a larger dt or a shorter t_end") from exc
+    import scipy.linalg
     trajectory[0] = x
-    diverged = False
-    for k in range(1, n_steps + 1):
-        trajectory[k] = x = propagator @ x
-        if float(np.linalg.norm(x)) > DIVERGENCE_LIMIT:
-            diverged = True
-            break
-    return SimulationResult(t=np.arange(k + 1) * dt, x=trajectory[:k + 1], diverged=diverged)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is divergence
+        propagator = scipy.linalg.expm(dt * system.Ftilde)
+        k, diverged = 0, not np.isfinite(propagator).all()
+        while k < n_steps and not diverged:
+            k += 1
+            trajectory[k] = x = propagator @ x
+            diverged = not np.linalg.norm(x) <= DIVERGENCE_LIMIT
+    k -= not np.isfinite(x).all()  # drop a step that overflowed
+    return SimulationResult(t=np.minimum(np.arange(k + 1) * dt, t_max),
+                            x=trajectory[:k + 1], diverged=diverged)
 
 
 def stability_probability(model: PlantModel, family: str, trials: int,

@@ -196,13 +196,110 @@ def brute_interval(F, H, G, lam, search_range=(-50.0, 50.0), points=20001):
     stable = np.linalg.eigvals(blocks).real.max(axis=1) < 0.0
     edges = np.flatnonzero(np.diff(np.concatenate(([0], stable.astype(int), [0]))))
     runs = [(mus[a], mus[b - 1]) for a, b in zip(edges[::2], edges[1::2])]
-    if not runs:
+    return min(runs, key=_nearest_origin) if runs else None
+
+
+def _nearest_origin(run):
+    """The library's selection rule for a (low, high) run: distance from
+    mu = 0, ties toward the negative side, then by the lower end."""
+    lo, hi = run
+    if lo <= 0.0 <= hi:
+        return (0.0, 0, lo)
+    return (lo, 1, lo) if lo > 0.0 else (-hi, 0, lo)
+
+
+def _horner(poly, x):
+    value = 0
+    for c in poly:
+        value = value * x + c
+    return value
+
+
+def _remainder(a, b):
+    """Remainder of a / b, coefficients highest power first (b[0] != 0)."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        a = [x - q * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and a[0] == 0:
+        a.pop(0)
+    return a
+
+
+def exact_interval(F, H, G, lam: float, window: float = 1e12):
+    """Stable mu run of F + lam*H + mu*G nearest the origin, decided in
+    exact arithmetic on the stored floats, or None.
+
+    sigma(lam, .) changes sign only at real roots of p(mu) = det M(mu) *
+    Delta_{n-1}(mu), with Delta_{n-1} the (n-1)-th Hurwitz determinant of
+    det(sI - M(mu)) (+- the product of all pair sums of eigenvalues).  p
+    is interpolated exactly at deg + 1 integers with Berkowitz's
+    characteristic polynomial, its real roots in (-window, window) are
+    isolated with a Sturm sequence and bisected to 2^-60 relative to
+    max(1, |mu|), and each gap between them is decided by Routh's test at a
+    rational point.  Roots beyond the window count as infinite.  Returns
+    (low, high) floats, ends of merged stable gaps, selected by the
+    library's rule.
+    """
+    F, H, G = ([[Fraction(float(x)) for x in row] for row in np.atleast_2d(m)] for m in (F, H, G))
+    n, lam = len(F), Fraction(float(lam))
+    M0 = [[F[r][s] + lam * H[r][s] for s in range(n)] for r in range(n)]
+
+    def matrix(mu):
+        return [[M0[r][s] + mu * G[r][s] for s in range(n)] for r in range(n)]
+
+    def p_at(k):
+        coeffs = _charpoly(matrix(k))
+        a = coeffs + [0] * n  # a[j] = 0 beyond the degree
+        hurwitz = [[a[2 * j - i + 1] if 2 * j - i + 1 >= 0 else 0 for j in range(n - 1)]
+                   for i in range(n - 1)]
+        return coeffs[-1] * (_charpoly(hurwitz)[-1] if n > 1 else 1)  # +- det M * Delta
+
+    # Newton's divided differences at 0..deg, expanded by Horner's scheme
+    deg = n + n * (n - 1) // 2
+    newton = [Fraction(p_at(k)) for k in range(deg + 1)]
+    for j in range(1, deg + 1):
+        for i in range(deg, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / j
+    poly = [newton[deg]]
+    for i in range(deg - 1, -1, -1):
+        poly = [*poly, 0]
+        poly = [c - i * prev for c, prev in zip(poly, [0, *poly[:-1]])]
+        poly[-1] += newton[i]
+    while poly and poly[0] == 0:
+        poly.pop(0)
+    if not poly:  # an eigenvalue at 0 or a pair summing to 0 for every mu
         return None
 
-    def distance(run):
-        lo, hi = run
-        if lo <= 0.0 <= hi:
-            return (0.0, 0)
-        return (lo, 1) if lo > 0.0 else (-hi, 0)
+    chain = [poly, [c * (len(poly) - 1 - j) for j, c in enumerate(poly[:-1])]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
 
-    return min(runs, key=distance)
+    def variations(x):
+        signs = [v > 0 for v in (_horner(q, x) for q in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def split(lo, hi):
+        mid = (lo + hi) / 2
+        while _horner(poly, mid) == 0:  # keep every end off a root
+            mid = (mid + hi) / 2
+        return mid
+
+    # isolate, then refine: each root sits in an open (lo, hi) whose ends are not roots
+    roots, pending = [], [(Fraction(-window), Fraction(window))]
+    while pending:
+        lo, hi = pending.pop()
+        count = variations(lo) - variations(hi)
+        if count > 1 or (count == 1 and hi - lo > 2 ** -60 * max(1, abs(lo), abs(hi))):
+            mid = split(lo, hi)
+            pending += [(lo, mid), (mid, hi)]
+        elif count == 1:
+            roots.append((lo, hi))
+    roots.sort()
+    points = ([roots[0][0]] + [(a[1] + b[0]) / 2 for a, b in zip(roots, roots[1:])]
+              + [roots[-1][1]]) if roots else [Fraction(0)]
+    stable = [_routh_positive(_charpoly(matrix(x))) for x in points]
+    cuts = [-math.inf] + [float((lo + hi) / 2) for lo, hi in roots] + [math.inf]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], stable, [0])))).tolist()
+    runs = [(cuts[a], cuts[b]) for a, b in zip(edges[::2], edges[1::2])]
+    return min(runs, key=_nearest_origin) if runs else None

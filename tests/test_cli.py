@@ -362,6 +362,20 @@ def test_verify_with_simulation(model_cfg, tmp_path, capsys):
     assert len(lines) == 1 + 201  # initial state plus 200 steps
 
 
+def test_verify_simulation_of_overflowing_loop_is_a_verdict(model_cfg, tmp_path, capsys):
+    # the default sampling puts expm(dt * Ftilde) beyond the largest float
+    # here: the trajectory ends diverged, an unstable verdict, not a usage error
+    plant = tmp_path / "B.csv"
+    plant.write_text(msfnet.adjacency_csv_text(msfnet.make_network("complete", 4).adjacency * 1e6))
+    traj = tmp_path / "traj.csv"
+    code = run_cli("verify", "--model", model_cfg, "--plant", plant, "--feedback", "zero",
+                   "--simulate", "--out", traj)
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["diverged"] is True and report["final_time"] == 0.0
+    assert len(traj.read_text().splitlines()) == 2
+
+
 def test_prob_stability_csv(model_cfg, tmp_path, capsys):
     out = tmp_path / "prob.csv"
     for family in ("er:5:0.5", "er:5:.5"):

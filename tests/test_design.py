@@ -91,6 +91,31 @@ def test_weighted_loop_is_the_eigenvalue_clip(paper_model):
         assert np.max(np.abs((B - A) - clip)) <= 1e-12, spec
 
 
+# a non-normal feedback on er:6:0.5:3, found by SLSQP over all 36 entries
+# (min ||A||_F subject to max Re <= -0.005) and rounded to 9 digits
+CHEAPER_NON_NORMAL_FEEDBACK = [
+    [-0.073685867, 0.322047151, 0.319320373, 0.417486395, 0.411387018, -0.21727575],
+    [-0.0604537743, 0.199431934, 0.19589239, 0.26278727, 0.25941591, -0.149291464],
+    [-0.0602691362, 0.200457213, 0.197337903, 0.265169763, 0.262381541, -0.151283594],
+    [-0.0319752939, 0.0725385805, 0.0727217094, 0.100874523, 0.0999940144, -0.0639368321],
+    [-0.0307856053, 0.0727326159, 0.0710451412, 0.102710329, 0.10231061, -0.0637703639],
+    [-0.0487178986, 0.225817488, 0.225058961, 0.294219772, 0.287666756, -0.150251456],
+]
+
+
+def test_non_normal_feedback_can_be_cheaper_than_weighted(paper_model):
+    # the weighted design is norm-minimal among feedbacks in B's basis, not
+    # among all real ones: this loop decays faster than 0.004, exactly, at
+    # norm 1.2063 against the design's 1.3639 (margin 0.01, decay 0.005)
+    network = msfnet.network_from_spec("er:6:0.5:3")
+    A = np.array(CHEAPER_NON_NORMAL_FEEDBACK)
+    assert oracles.exact_hurwitz(paper_model.F + 0.004 * np.eye(2), paper_model.H,
+                                 paper_model.G, network.adjacency, A)
+    assert np.linalg.norm(A) < 1.3
+    weighted = msfnet.design_weighted(paper_model, network, margin=0.01)
+    assert weighted.frobenius_norm == pytest.approx(1.3639, abs=1e-4)
+
+
 def test_weighted_margin_kept_at_boundary_near_zero(paper_model):
     # this network has plant eigenvalue 2 up to rounding, so that mode's
     # stable interval (lambda - 2, 50] starts a rounding error from zero;

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -110,6 +112,23 @@ def test_grid_rejects_bad_steps(paper_model):
     # 10^12 blocks of 2x2 (29 TiB) fail to allocate at once
     with pytest.raises(BadParameter, match="fewer steps"):
         msfnet.sigma_grid(paper_model, (-1.0, 1.0), (-1.0, 1.0), 10 ** 6)
+
+
+def test_grid_overflow_is_bad_parameter(paper_model):
+    # a range whose width overflows, or a corner block with an overflowing
+    # term (lam*H with |H| = 10) or sum ((lam - mu)*H for G = -H), is a bad
+    # parameter with no numpy warning; a wide finite range keeps linspace's axes
+    wide = oracles.D, oracles.R, 10.0 * oracles.H, oracles.K, oracles.L
+    for model, lams, mus in ((paper_model, (-1e308, 1e308), (-1.0, 1.0)),
+                             (paper_model, (-1.0, 1.0), (-1e308, 1e308)),
+                             (msfnet.build_plant_model(*wide), (1e307, 1e308), (-1.0, 1.0)),
+                             (paper_model, (1e308, 1.7e308), (-1.7e308, -1e308))):
+        with pytest.raises(BadParameter, match="overflow"):
+            msfnet.sigma_grid(model, lams, mus, 3)
+    lams, mus, values = msfnet.sigma_grid(paper_model, (1e307, 1.5e308), (-1.0, 1.0), 3)
+    npt.assert_array_equal(lams, np.linspace(1e307, 1.5e308, 3))
+    npt.assert_array_equal(mus, [-1.0, 0.0, 1.0])
+    assert np.isfinite(values).all()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +378,31 @@ def test_interval_matches_brute_force_oracle():
         model = msfnet.build_plant_model(*oracles.random_plant(rng, n))
         lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0) if trial % 2 else 0.0)
         _assert_matches_brute(model, lam, (-10.0, 10.0))
+
+
+def test_interval_matches_exact_oracle(paper_model):
+    # every pencil root below 1e12 in magnitude must be found: ends agree
+    # with the exact Sturm-sequence interval to 1e-12 relative to max(1, |end|),
+    # and library ends beyond 1e12 (rounding-born roots) read as infinite
+    rng = np.random.default_rng(17)
+    cases = [(paper_model, lam) for lam in (-7.3, 0.0, 2.0, 3.0, 7.0)]
+    cases += [(msfnet.build_plant_model(*oracles.random_plant(rng, 2)), float(rng.uniform(-5, 5)))
+              for _ in range(10)]
+    found = 0
+    for model, lam in cases:
+        exact = oracles.exact_interval(model.F, model.H, model.G, lam)
+        try:
+            iv = msfnet.stable_interval(model, lam)
+            ends = [e if abs(e) < 1e12 else math.copysign(math.inf, e) for e in (iv.lower, iv.upper)]
+        except NoStableInterval:
+            ends = [math.inf, math.inf]
+        if ends[0] == ends[1]:  # none, or only beyond 1e12
+            assert exact is None, (lam, exact)
+            continue
+        found += 1
+        for got, want in zip(ends, exact):
+            assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want)), (lam, ends, exact)
+    assert found >= 10
 
 
 @pytest.mark.parametrize("lam", [-1.0, 3.0, 1.5 - 2.0j, 2.5 + 1.0j])

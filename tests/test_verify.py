@@ -221,6 +221,54 @@ def test_simulate_unstable_system_diverges():
     assert result.t[-1] == (len(result.t) - 1) * dt
 
 
+def test_simulate_default_samples_without_an_eigensolve(paper_model, monkeypatch):
+    # dt only sets the sampling density: the default is t_end / 1000, and
+    # no spectrum of Ftilde is computed for it
+    network = msfnet.make_network("complete", 16)
+    system = msfnet.build_closed_loop(paper_model, network,
+                                      msfnet.design_weighted(paper_model, network).feedback)
+    x0 = np.random.default_rng(3).standard_normal(32)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("simulate computed eigenvalues")
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
+        monkeypatch.setattr(scipy.linalg, name, no_eigensolve)
+    for t_end in (1e-3, 0.3, 1.0, 7.7, 10.0, 1e6):
+        result = msfnet.simulate(system, x0, t_end)
+        assert len(result.t) == len(result.x) == 1001 and not result.diverged
+        assert result.t[0] == 0.0
+        assert 0.0 <= t_end - result.t[-1] <= np.spacing(t_end)
+    monkeypatch.undo()
+    result = msfnet.simulate(system, x0, 10.0)
+    exact = scipy.linalg.expm(result.t[-1] * system.Ftilde) @ x0
+    assert np.linalg.norm(result.x[-1] - exact) <= 1e-12 * np.linalg.norm(exact)
+    # k * (t_end / 1000) rounds past t_end at k = 1000 here; the last sample does not
+    assert 1000 * (0.0077 / 1000) > 0.0077
+    assert msfnet.simulate(system, x0, 0.0077).t[-1] == 0.0077
+
+
+def test_simulate_stiff_loops_end_cleanly(paper_model):
+    # a stiff stable loop gets 1001 samples whatever its spectral radius; an
+    # unstable one whose propagator overflows ends at x0, diverged, with no
+    # numpy warning
+    for coupling, stable in ((1e4, True), (1e6, True), (1e6, False)):
+        network = msfnet.make_network("complete", 4, coupling=coupling)
+        feedback = (msfnet.design_weighted(paper_model, network).feedback if stable
+                    else np.zeros((4, 4)))
+        system = msfnet.build_closed_loop(paper_model, network, feedback)
+        result = msfnet.simulate(system, np.ones(8), t_end=10.0)
+        assert np.isfinite(result.x).all()
+        assert result.diverged is not stable
+        assert len(result.x) == (1001 if stable else 1)
+    # a finite propagator whose step overflows: that step is dropped
+    system = msfnet.build_closed_loop(_decoupled_model(100.0),
+                                      np.zeros((1, 1)), np.zeros((1, 1)))
+    result = msfnet.simulate(system, np.full(2, 1e300), t_end=2.0, dt=1.0)
+    assert result.diverged and len(result.x) == 1 and np.isfinite(result.x).all()
+
+
 def test_simulate_validates_inputs(paper_model):
     system = msfnet.build_closed_loop(paper_model, np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(DimensionMismatch):
