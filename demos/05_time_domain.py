@@ -1,8 +1,10 @@
 """Time-domain corroboration of the spectral verdicts.
 
-Samples dx/dt = Ftilde x with the exact propagator expm(dt * Ftilde) for
-the complete 8-node plant network, once without feedback (unstable: the
-lambda = 7 mode grows) and once with the weighted design (all modes decay).
+Samples dx/dt = Ftilde x with the propagator expm(dt * Ftilde), which
+msfnet.simulate computes once by scaling and squaring, for the complete
+8-node plant network, once without feedback (unstable: the lambda = 7 mode
+grows) and once with the weighted design (all modes decay).  Each sample is
+the exact flow of the last, to rounding.
 """
 
 from pathlib import Path

@@ -11,6 +11,7 @@ B share a triangularizing basis, and time-domain simulation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +25,10 @@ from .msf import _blocks, _rounding_floor
 #: Trajectory norm beyond which simulation stops and reports divergence.
 DIVERGENCE_LIMIT = 1e12
 _SAMPLE_INTERVALS = 1000  # simulate's default: equal intervals over [0, t_end]
+# Higham 2005, Table 2.3: the [m/m] Pade approximant of exp is accurate to
+# double precision while ||A||_1 <= theta_m
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
 
 def _adjacency(network) -> np.ndarray:
@@ -155,16 +160,55 @@ def _greedy_match_distance(left: np.ndarray, right: np.ndarray) -> float:
     return worst
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """expm(a) by scaling and squaring with the lowest Pade degree that is
+    accurate at ||a||_1 (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+    A non-finite norm gives a non-finite result; callers treat it as overflow."""
+    norm = np.linalg.norm(a, 1)
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    for m, theta in _THETA.items():
+        if norm <= theta:
+            break
+    squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = np.ldexp(a, -squarings)
+    b = [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
+         for k in range(m + 1)]  # b_k = (2m - k)! / (k! (m - k)!), so b_m = 1
+    powers = [np.eye(len(a)), a @ a]  # I, a^2, a^4, ...: to a^(m-1), or a^6 for m = 13
+    while len(powers) < (4 if m == 13 else (m + 1) // 2):
+        powers.append(powers[-1] @ powers[1])
+    odd, even = (sum(c * p for c, p in zip(half, powers)) for half in (b[1::2], b[::2]))
+    if m == 13:  # the terms beyond a^6, by Horner in a^6
+        odd = odd + powers[3] @ sum(c * p for c, p in zip(b[9::2], powers[1:]))
+        even = even + powers[3] @ sum(c * p for c, p in zip(b[8::2], powers[1:]))
+    odd = a @ odd
+    # I + 2 (V - U)^-1 U equals (V - U)^-1 (V + U), but solving for the part
+    # beside I alone keeps a product of many short steps as accurate as scipy's
+    result = powers[0] + np.linalg.solve(even - odd, 2.0 * odd)
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _free_memory() -> float:
+    """Free physical memory in bytes, or inf where the system does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_AVPHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return math.inf
+    return pages * page_size if pages > 0 and page_size > 0 else math.inf
+
+
 def simulate(system: ClosedLoopSystem, x0, t_end: float,
              dt: float | None = None) -> SimulationResult:
     """Trajectory of dx/dt = Ftilde x sampled every ``dt`` (default t_end / 1000)
-    by expm(dt * Ftilde): each sample is the exact flow of the last.
+    by expm(dt * Ftilde), which numpy scaling and squaring computes once: each
+    sample is the exact flow of the last, to rounding.
 
     The trajectory stops early, with ``diverged`` set, once the state norm
-    exceeds 1e12 or a step overflows (that step is dropped); that is evidence
-    of instability, not an error.  A non-finite ``x0`` or a step count too large
-    to preallocate raises BadParameter; under Linux overcommit an explicit ``dt``
-    asking for ~1e8 steps fills memory row by row instead.
+    exceeds 1e12 or the propagator or a step overflows (that step is dropped);
+    that is evidence of instability, not an error.  A non-finite ``x0``, or a
+    trajectory larger than the free physical memory, raises BadParameter.
     """
     x = np.asarray(x0, dtype=np.float64).ravel()
     size = system.N * system.n
@@ -179,14 +223,15 @@ def simulate(system: ClosedLoopSystem, x0, t_end: float,
 
     try:
         n_steps = int(math.floor(t_end / dt + 1e-9))
+        if (n_steps + 1) * size * 8 > _free_memory():  # overcommit would not fail here
+            raise MemoryError("more than the free physical memory")
         trajectory = np.empty((n_steps + 1, size))
     except (MemoryError, ValueError, OverflowError) as exc:
         raise BadParameter(f"cannot store {t_end / dt:.3g} steps of {size} states; "
                            f"use a larger dt or a shorter t_end") from exc
-    import scipy.linalg
     trajectory[0] = x
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is divergence
-        propagator = scipy.linalg.expm(dt * system.Ftilde)
+        propagator = _expm(dt * system.Ftilde)
         k, diverged = 0, not np.isfinite(propagator).all()
         while k < n_steps and not diverged:
             k += 1

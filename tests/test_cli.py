@@ -486,23 +486,23 @@ def test_scipy_linalg_loads_only_where_it_is_called(model_cfg, tmp_path, monkeyp
     loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     assert _child("-c", f"import sys, msfnet, msfnet.cli; {loaded}") == "[]\n"
     model = str(model_cfg)
+    linalg = [["design", "weighted", "--model", model, "--network", "complete:8",
+               "--out", "A.csv", "--report", "report.json"]]
     numeric = [["msf", "grid", "--model", model, "--lambda", "-5:5", "--mu", "-5:5",
                 "--steps", "11", "--out", "grid.csv"],
-               ["verify", "--model", model, "--plant", "complete:4", "--feedback", "zero"]]
-    linalg = [["design", "weighted", "--model", model, "--network", "complete:8",
-               "--out", "A.csv", "--report", "report.json"],
-              ["verify", "--model", model, "--plant", "complete:8", "--feedback", "A.csv",
-               "--simulate", "--t-end", "1", "--dt", "0.01", "--out", "traj.csv"]]
-    for commands, expected in ((numeric, False), (linalg, True)):
+               ["verify", "--model", model, "--plant", "complete:4", "--feedback", "zero"],
+               ["verify", "--model", model, "--plant", "complete:8", "--feedback", "A.csv",
+                "--simulate", "--t-end", "1", "--dt", "0.01", "--out", "traj.csv"]]
+    for commands, expected in ((linalg, True), (numeric, False)):  # design writes A.csv
         run = f"for argv in {commands!r}: main(argv)"
         out = _child("-c", f"import sys; from msfnet.cli import main\n{run}\n"
                            "print('scipy.linalg' in sys.modules)", cwd=tmp_path)
         assert out.splitlines()[-1] == str(expected)
-    # the fresh process writes what this one, which has scipy loaded, writes
+    # the fresh processes write what this one, which has scipy loaded, writes
     here = tmp_path / "here"
     here.mkdir()
     monkeypatch.chdir(here)
-    for argv in linalg:
+    for argv in (*linalg, numeric[-1]):
         run_cli(*argv)
     for name in ("A.csv", "report.json", "traj.csv", "run-manifest.txt"):
         assert (here / name).read_bytes() == (tmp_path / name).read_bytes(), name

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,7 @@ import scipy.linalg
 import msfnet
 import oracles
 from msfnet.errors import BadParameter, DimensionMismatch, TimedOut
-from msfnet.verify import _verdicts
+from msfnet.verify import _THETA, _expm, _verdicts
 
 
 def _decoupled_model(value: float):
@@ -267,6 +269,61 @@ def test_simulate_stiff_loops_end_cleanly(paper_model):
                                       np.zeros((1, 1)), np.zeros((1, 1)))
     result = msfnet.simulate(system, np.full(2, 1e300), t_end=2.0, dt=1.0)
     assert result.diverged and len(result.x) == 1 and np.isfinite(result.x).all()
+
+
+def test_propagator_matches_scipy_expm(paper_model):
+    # every Pade degree just below and just above its theta_m, the squaring
+    # branch at norms 1e2 and 1e4, a Jordan block and the strongly non-normal
+    # loop of the directed path B = 3 * subdiagonal (weighted design A = 0)
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((6, 6))
+    S = M - M.T  # expm(S) is orthogonal, so no norm overflows it
+    cases = [theta * f * M / np.linalg.norm(M, 1)
+             for theta in _THETA.values() for f in (1 - 1e-9, 1 + 1e-9)]
+    cases += [1e2 * M / np.linalg.norm(M, 1)]
+    cases += [norm * S / np.linalg.norm(S, 1) for norm in (1e2, 1e4)]
+    cases += [t * (np.eye(4, k=1) - np.eye(4)) for t in (0.01, 3.0, 30.0)]
+    path = msfnet.custom_network(3.0 * np.eye(10, k=-1))
+    loop = msfnet.build_closed_loop(paper_model, path,
+                                    msfnet.design_weighted(paper_model, path).feedback)
+    cases += [dt * loop.Ftilde for dt in (0.01, 1.0)]
+    for a in cases:
+        expected = scipy.linalg.expm(a)
+        error = np.linalg.norm(_expm(a) - expected, 1) / np.linalg.norm(expected, 1)
+        assert error <= 1e-14 * max(1.0, np.linalg.norm(a, 1)), np.linalg.norm(a, 1)
+    npt.assert_array_equal(_expm(np.zeros((5, 5))), np.eye(5))
+    # 3,333 short steps stay on the flow; solving (V - U) r = V + U for the
+    # whole propagator, not for r - I, drifts 4e-13 to 6e-13 here
+    ring = msfnet.network_from_spec("ring:12:4")
+    system = msfnet.build_closed_loop(paper_model, ring,
+                                      msfnet.design_weighted(paper_model, ring).feedback)
+    x0 = np.random.default_rng(0).standard_normal(24)
+    result = msfnet.simulate(system, x0, t_end=10.0, dt=0.003)
+    exact = scipy.linalg.expm(result.t[-1] * system.Ftilde) @ x0
+    assert np.linalg.norm(result.x[-1] - exact) <= 1e-13 * np.linalg.norm(exact)
+    # dt * Ftilde beyond the largest float ends the trajectory at x0, with no warning
+    system = msfnet.build_closed_loop(_decoupled_model(1e308),
+                                      np.zeros((1, 1)), np.zeros((1, 1)))
+    result = msfnet.simulate(system, np.ones(2), t_end=3.0, dt=2.0)
+    assert result.diverged and len(result.x) == 1 and np.isfinite(result.x).all()
+
+
+def test_simulate_refuses_more_than_free_memory(monkeypatch):
+    # Linux overcommit lets np.empty reserve far more than memory holds, so
+    # simulate compares the trajectory with the free physical memory first
+    system = msfnet.build_closed_loop(_decoupled_model(-1.0),
+                                      np.zeros((1, 1)), np.zeros((1, 1)))
+    pages = {"SC_AVPHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}  # 64 KiB free
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(BadParameter, match="larger dt"):  # 10,001 x 2 samples: 160 kB
+        msfnet.simulate(system, np.ones(2), t_end=1e4, dt=1.0)
+    assert len(msfnet.simulate(system, np.ones(2), t_end=1.0, dt=0.1).x) == 11
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert len(msfnet.simulate(system, np.ones(2), t_end=1e4, dt=1.0).x) == 10001
 
 
 def test_simulate_validates_inputs(paper_model):
