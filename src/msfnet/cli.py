@@ -104,6 +104,14 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV of the column names in ``header`` and one line per row,
+    each value written as its ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _write_manifest(args: argparse.Namespace, primary_out) -> None:
     import scipy
     directory = Path(primary_out).parent
@@ -143,30 +151,29 @@ def _gains_for_report(gains) -> list:
 
 def _cmd_msf_grid(args: argparse.Namespace, model: PlantModel) -> int:
     lams, mus, values = sigma_grid(model, _parse_range(args.lam), _parse_range(args.mu), args.steps)
-    lines = ["lambda,mu,sigma"]
-    lines += [f"{lam},{mu},{value}" for lam, row in zip(lams.tolist(), values.tolist())
-              for mu, value in zip(mus.tolist(), row)]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, ["lambda", "mu", "sigma"],
+               ((lam, mu, value) for lam, row in zip(lams.tolist(), values.tolist())
+                for mu, value in zip(mus.tolist(), row)))
     print(f"wrote {values.size} grid points to {args.out} "
           f"(sigma range [{values.min():.6g}, {values.max():.6g}])")
     return EXIT_OK
 
 
 def _cmd_msf_interval(args: argparse.Namespace, model: PlantModel) -> int:
-    rows = ["lambda_re,lambda_im,f_l,f_u"]
+    rows = []
     exit_code = EXIT_OK
     for lam in args.lam:
         try:
             iv = stable_interval(model, lam)
         except NoStableInterval as exc:
             print(f"lambda={lam}: no stable interval ({exc})")
-            rows.append(f"{lam.real},{lam.imag},nan,nan")
+            rows.append((lam.real, lam.imag, np.nan, np.nan))
             exit_code = EXIT_VERDICT
             continue
         print(f"lambda={lam}: stable mu interval [{iv.lower}, {iv.upper}]")
-        rows.append(f"{lam.real},{lam.imag},{iv.lower},{iv.upper}")
+        rows.append((lam.real, lam.imag, iv.lower, iv.upper))
     if args.out:
-        _atomic_write(args.out, "\n".join(rows) + "\n")
+        _write_csv(args.out, ["lambda_re", "lambda_im", "f_l", "f_u"], rows)
     return exit_code
 
 
@@ -211,9 +218,8 @@ def _cmd_design(args: argparse.Namespace, model: PlantModel) -> int:
 def _cmd_sweep_norm(args: argparse.Namespace, model: PlantModel) -> int:
     rows = norm_sweep(model, args.family, _parse_range(args.n, int),
                       margin=args.margin, coupling=args.coupling)
-    lines = ["N,weighted_norm,matching_norm,status"]
-    lines += [f"{r.N},{r.weighted_norm},{r.matching_norm},{r.status}" for r in rows]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, ["N", "weighted_norm", "matching_norm", "status"],
+               ((r.N, r.weighted_norm, r.matching_norm, r.status) for r in rows))
     bad = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} sweep rows to {args.out} ({bad} infeasible or unverified)")
     return EXIT_VERDICT if bad else EXIT_OK
@@ -250,13 +256,11 @@ def _cmd_verify(args: argparse.Namespace, model: PlantModel) -> int:
         report["final_norm"] = float(np.linalg.norm(result.x[-1]))
         report["final_time"] = float(result.t[-1])
         if args.out:
-            header = "t," + ",".join(f"x_{i + 1}" for i in range(system.N * system.n))
-            lines = [header]
+            header = ["t"] + [f"x_{i + 1}" for i in range(system.N * system.n)]
             # row by row: one .tolist() of the whole trajectory would hold
             # every entry as a Python float at once
-            lines += [f"{t}," + ",".join(map(str, x.tolist()))
-                      for t, x in zip(result.t.tolist(), result.x)]
-            _atomic_write(args.out, "\n".join(lines) + "\n")
+            _write_csv(args.out, header, ((t, *x.tolist())
+                                          for t, x in zip(result.t.tolist(), result.x)))
 
     _print_report(report)
     return EXIT_OK if verdict.stable else EXIT_VERDICT
@@ -277,10 +281,9 @@ def _cmd_prob_stability(args: argparse.Namespace, model: PlantModel) -> int:
     }
     _print_report(report)
     if args.out:
-        lines = ["p,trials,stable_fraction,ci_low,ci_high",
-                 f"{p_value},{estimate.trials},{estimate.fraction},"
-                 f"{estimate.ci_low},{estimate.ci_high}"]
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, ["p", "trials", "stable_fraction", "ci_low", "ci_high"],
+                   [(p_value, estimate.trials, estimate.fraction,
+                     estimate.ci_low, estimate.ci_high)])
     return EXIT_OK
 
 

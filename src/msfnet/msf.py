@@ -114,26 +114,26 @@ def sigma_grid(model: PlantModel, lambda_range, mu_range, steps):
 
 
 # a term beyond the largest float becomes inf with no numpy warning (and nan
-# where the bialternate multiplies it by 0): a pencil entry that overflows
+# where a Kronecker product multiplies it by 0): a pencil entry that overflows
 # fails eigvals' finiteness check, and a point whose terms overflow is never stable
 @np.errstate(over="ignore", invalid="ignore")
 def stable_interval(model: PlantModel, lam: complex) -> StableInterval:
     """Negative-sigma interval on the real mu axis nearest the origin.
 
     sigma(lam, .) can change sign only where M(mu) = F + lam*H + mu*G has
-    an eigenvalue at 0 or two eigenvalues summing to 0, i.e. at the real
-    roots of the pencils (M0, -G) and (bialt(M0), -bialt(G)) with
-    M0 = F + lam*H.  Those roots cut the whole real line into segments of
-    constant sign, the outer two running to -inf and +inf.  One sigma
-    evaluation per segment classifies it against the rounding floor of the
-    terms of M(mu); one within that floor of zero decides nothing, and the
-    segment gets a second evaluation a unit inside its finite end nearest
-    the origin (or counts as unstable).  Adjacent stable segments merge,
+    an eigenvalue on the imaginary axis, i.e. at the real roots of the
+    pencil M(mu) (x) I + I (x) conj(M(mu)), which is linear in mu.  Those
+    roots cut the whole real line into segments of constant sign, the outer
+    two running to -inf and +inf.  One sigma evaluation per segment
+    classifies it against the rounding floor of the terms of M(mu); one
+    within that floor of zero decides nothing, and the segment gets a
+    second evaluation a unit inside its finite end nearest the origin (or
+    counts as unstable).  Adjacent stable segments merge,
     and the merged interval minimizing distance to mu = 0 is returned (ties
     resolved toward the negative side, then by lower endpoint).  A segment
     whose classifying point has terms beyond the largest float counts as
     unstable.  Raises NoStableInterval when no segment is stable, and
-    BadParameter when |lam| or an entry of a pencil overflows.
+    BadParameter when |lam| or an entry of F + lam*H overflows.
     """
     if not np.isfinite(lam):
         raise BadParameter(f"lambda must be finite, got {lam}")
@@ -191,23 +191,21 @@ def _sigma_where_finite(model: PlantModel, lam: complex, points: np.ndarray,
 
 
 def _sign_change_candidates(model: PlantModel, lam: complex) -> np.ndarray:
-    """Real parts of the real and near-real finite roots of both pencils.
-    Raises BadParameter when an entry of a pencil overflows."""
+    """Real parts of the real and near-real finite roots of the pencil
+    K(mu) = M(mu) (x) I + I (x) conj(M(mu)), the Lyapunov operator
+    X -> M X + X M^H of M(mu) = F + lam*H + mu*G.  Its eigenvalues are the
+    sums l_i + conj(l_j) over the eigenvalues l_i of M(mu), so one is zero
+    exactly when M(mu) has an eigenvalue on the imaginary axis, for real and
+    complex lam alike.  The pencil is built from halves of M and G, which
+    leaves its roots unchanged and cannot overflow a sum of finite halves.
+    Raises BadParameter when F + lam*H overflows."""
     import scipy.linalg
-    M0 = model.F + lam.real * model.H
-    G = model.G
-    if lam.imag:
-        # real embedding [[Re, -Im], [Im, Re]]: spectrum of M plus its
-        # conjugate, so a lone eigenvalue on the imaginary axis shows up
-        # as the pair sum lam_i + conj(lam_i) = 0
-        shift = lam.imag * model.H
-        M0 = np.block([[M0, -shift], [shift, M0]])
-        G = np.kron(np.eye(2), G)
+    M0 = (model.F + lam * model.H) / 2
+    G2 = model.G / 2
+    eye = np.eye(model.n)
     try:
-        roots = np.concatenate([
-            scipy.linalg.eigvals(M0, -G),
-            scipy.linalg.eigvals(_bialternate(M0), -_bialternate(G)),
-        ])
+        roots = scipy.linalg.eigvals(np.kron(M0, eye) + np.kron(eye, M0.conj()),
+                                     -(np.kron(G2, eye) + np.kron(eye, G2)))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"pencil eigenvalues failed at lambda={lam}: {exc}") from exc
     except ValueError as exc:
@@ -215,19 +213,6 @@ def _sign_change_candidates(model: PlantModel, lam: complex) -> np.ndarray:
     roots = roots[np.isfinite(roots)]
     near_real = np.abs(roots.imag) <= _NEAR_REAL * np.maximum(1.0, np.abs(roots.real))
     return roots.real[near_real]
-
-
-def _bialternate(M: np.ndarray) -> np.ndarray:
-    """M acting on antisymmetric tensors e_r ^ e_s (r < s).
-
-    The projection of M (x) I + I (x) M onto the n(n-1)/2 antisymmetric
-    pairs; its eigenvalues are lam_i + lam_j for i < j, and it is linear
-    in M.
-    """
-    r, s = np.triu_indices(M.shape[0], 1)
-    eye = np.eye(M.shape[0])
-    return (M[np.ix_(r, r)] * eye[np.ix_(s, s)] + eye[np.ix_(r, r)] * M[np.ix_(s, s)]
-            - M[np.ix_(r, s)] * eye[np.ix_(s, r)] - eye[np.ix_(r, s)] * M[np.ix_(s, r)])
 
 
 def _finite_range(name: str, value) -> tuple[float, float]:

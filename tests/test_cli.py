@@ -5,10 +5,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import msfnet
+from msfnet import cli
 from msfnet.cli import main
+from msfnet.errors import NumericalFailure
 
 MODEL_TEXT = """\
 D = 3 5; -1 0
@@ -122,6 +125,27 @@ def test_non_finite_values_are_usage_errors(model_cfg, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, err
     assert not (tmp_path / "grid.csv").exists()
+
+
+def test_malformed_ranges_are_usage_errors(model_cfg, tmp_path, capsys):
+    grid = ("msf", "grid", "--model", model_cfg, "--mu", "-1:1", "--out", tmp_path / "g.csv")
+    sweep = ("sweep", "norm", "--model", model_cfg, "--family", "complete",
+             "--out", tmp_path / "s.csv")
+    for args, message in (((*grid, "--lambda", "-1:0:1"), "must be 'low:high'"),
+                          ((*grid, "--lambda", "low:1"), "must be float 'low:high'"),
+                          ((*sweep, "--n", "5:6.5"), "must be int 'low:high'")):
+        assert run_cli(*args) == 2
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_numerical_failure_is_a_verdict(model_cfg, monkeypatch, capsys):
+    def failing(model, lam):
+        raise NumericalFailure("eigenvalue computation failed")
+
+    monkeypatch.setattr(cli, "stable_interval", failing)
+    assert run_cli("msf", "interval", "--model", model_cfg, "--lambda", "3") == 1
+    assert "error: eigenvalue computation failed" in capsys.readouterr().err
 
 
 def test_range_flag_is_gone(model_cfg, tmp_path):
@@ -299,6 +323,18 @@ def test_design_matching_marginal_two_node_network(model_cfg, tmp_path, capsys):
                 "--coupling", "2")
         reports.append(json.loads(capsys.readouterr().out))
     assert reports[0]["mode_gains"] == reports[1]["mode_gains"] == [0.01, 0.0]
+
+
+def test_design_matching_reports_complex_gains_as_pairs(model_cfg, tmp_path, capsys):
+    # a directed 3-cycle has the modes 1 and -1/2 +- i sqrt(3)/2, and the
+    # matching gains replicate them
+    path = tmp_path / "cycle.csv"
+    path.write_text("0,1,0\n0,0,1\n1,0,0\n")
+    run_cli("design", "matching", "--model", model_cfg, "--network", path)
+    gains = json.loads(capsys.readouterr().out)["mode_gains"]
+    assert all(len(g) == 2 for g in gains)
+    npt.assert_allclose(sorted(gains), [[-0.5, -np.sqrt(0.75)], [-0.5, np.sqrt(0.75)],
+                                        [1.0, 0.0]], atol=1e-12)
 
 
 def test_design_infeasible_exit(unstabilizable_cfg, capsys):

@@ -240,9 +240,9 @@ def test_weighted_solves_one_interval_per_conjugate_class(unstabilizable_model,
 
 def test_weighted_real_mode_keeps_real_lambda(paper_model):
     # a seeded directed 0/1 network (draw 919 of default_rng(2)) with a
-    # defective mode near 0: given an imaginary part (9.1e-9 - 8.9e-11i in
-    # a complex Schur form), its 2n complex embedding makes LAPACK ggev
-    # fail.  Its real Schur block is 1x1, so the mode is exactly real
+    # defective mode near 0, which a complex Schur form gives an imaginary
+    # part (9.1e-9 - 8.9e-11i).  Its real Schur block is 1x1, so the mode
+    # is exactly real
     rows = ["010000101", "000000010", "000000001", "000011010", "111001000",
             "111100001", "010000000", "000000001", "100100000"]
     net = msfnet.custom_network([[float(c) for c in row] for row in rows])
@@ -606,6 +606,11 @@ def test_sweep_ring5_equals_complete5(paper_model):
     complete_row = msfnet.norm_sweep(paper_model, "complete", (5, 5))[0]
     assert ring_row.weighted_norm == complete_row.weighted_norm
     assert ring_row.matching_norm == complete_row.matching_norm
+
+
+def test_sweep_rejects_reversed_range(paper_model):
+    with pytest.raises(BadParameter, match="low <= high"):
+        msfnet.norm_sweep(paper_model, "complete", (6, 5))
 
 
 def test_sweep_marks_infeasible_rows(paper_model, unstabilizable_model):

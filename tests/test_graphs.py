@@ -48,6 +48,7 @@ def test_coupling_scales_adjacency():
 
 @pytest.mark.parametrize("kwargs", [
     dict(kind="ring", N=8, k=3),            # odd degree
+    dict(kind="ring", N=8),                 # missing degree
     dict(kind="ring", N=4, k=4),            # k >= N
     dict(kind="er", N=4, p=1.5, seed=0),    # p out of range
     dict(kind="er", N=4, p=0.5),            # missing seed
@@ -122,6 +123,16 @@ def test_adjacency_csv_rejects_ragged(tmp_path):
     path.write_text("0,1\n1,0,1\n")
     with pytest.raises(BadParameter):
         msfnet.read_adjacency_csv(path)
+
+
+def test_adjacency_csv_skips_blank_lines_and_rejects_empty_file(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_text("\n0,1\n  \n1,0\n\n")
+    npt.assert_array_equal(msfnet.read_adjacency_csv(path).adjacency, [[0, 1], [1, 0]])
+    for text in ("", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(BadParameter, match="empty adjacency file"):
+            msfnet.read_adjacency_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,9 @@ def test_grid_rejects_bad_steps(paper_model):
     # 10^12 blocks of 2x2 (29 TiB) fail to allocate at once
     with pytest.raises(BadParameter, match="fewer steps"):
         msfnet.sigma_grid(paper_model, (-1.0, 1.0), (-1.0, 1.0), 10 ** 6)
+    for bad in (1.0, (1.0,), ("low", "high")):
+        with pytest.raises(BadParameter, match="must be a \\(low, high\\) pair"):
+            msfnet.sigma_grid(paper_model, bad, (-1.0, 1.0), 3)
 
 
 def test_grid_overflow_is_bad_parameter(paper_model):
@@ -169,15 +172,46 @@ def test_interval_rejects_non_finite_lambda(paper_model):
 
 
 def test_interval_raises_where_a_pencil_overflows():
-    # with H = I the bialternate of F + lam*H holds 2*lam, beyond the largest
-    # float at |lam| = 1e308; a complex lam whose |Re| + |Im| overflows has
-    # no representable scale at all
-    model = msfnet.build_plant_model(-np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    # with H = 2I, F + lam*H holds 2*lam, beyond the largest float at
+    # |lam| = 1e308; a complex lam whose |Re| + |Im| overflows has no
+    # representable scale at all
+    eye = np.eye(2)
+    model = msfnet.build_plant_model(-eye, eye, 2 * eye, eye, eye)
     for lam in (1e308, -1e308):
         with pytest.raises(BadParameter, match="overflows the pencil"):
             msfnet.stable_interval(model, lam)
     with pytest.raises(BadParameter, match="exceeds the largest float"):
         msfnet.stable_interval(model, complex(1e308, 1e308))
+
+
+def test_interval_at_largest_lambda_without_overflow():
+    # with H = I, F + lam*H = lam*I and G = I stay finite at |lam| = 1e308,
+    # and the pencil built from halves of them does too: its one root is
+    # mu = -lam, and sigma(lam, mu) = lam + mu
+    eye = np.eye(2)
+    model = msfnet.build_plant_model(-eye, eye, eye, eye, eye)
+    iv = msfnet.stable_interval(model, -1e308)
+    assert (iv.lower, iv.upper) == (-math.inf, 1e308)
+    with pytest.raises(NoStableInterval):
+        msfnet.stable_interval(model, 1e308)
+
+
+@pytest.mark.parametrize("lam", [3.0, 3 + 1j])
+def test_interval_solves_one_pencil(paper_model, lam, monkeypatch):
+    # real and complex lambda alike cut the mu axis at the roots of one
+    # n^2 x n^2 pencil
+    import scipy.linalg
+    shapes = []
+    eigvals = scipy.linalg.eigvals
+
+    def counting(a, b=None, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return eigvals(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", counting)
+    msfnet.stable_interval(paper_model, lam)
+    n2 = paper_model.n ** 2
+    assert shapes == [((n2, n2), (n2, n2))]
 
 
 @pytest.mark.parametrize("lam", [7.0, 3.0, 2.0, -1.0, 60.0])
@@ -291,9 +325,11 @@ def test_interval_regressions(lam, expected, plant):
     _assert_matches_brute(model, lam, (-50.0, 50.0))
 
 
-# seed 0 draw 23 of oracles.random_plant: an infinite eigenvalue of the
-# bialternate pencil surfaces as a finite root near -1.04e16, and sigma at
-# that segment's midpoint (-5.2e15) drowns in the rounding floor
+# seed 0 draw 23 of oracles.random_plant: G has rank 1, so a pencil can
+# return an infinite eigenvalue as a finite root near 1/eps, and sigma at a
+# classifying point that far out drowns in the rounding floor.  The exact
+# lower end is -inf (oracles.exact_interval with a 1e20 window), and so is
+# the one returned
 SPURIOUS_ROOT_PLANT = dict(
     D=[[-1.3405451298940534, -0.47996841346697394], [-1.9479693065004589, 1.3110516793245814]],
     R=[[-0.015026758634928417], [-0.256327737750885]],

@@ -410,6 +410,15 @@ def test_probability_matching_designer(paper_model):
     assert 0.0 <= a.fraction <= 1.0
 
 
+def test_probability_binary_designer_and_unknown_name(paper_model):
+    estimate = msfnet.stability_probability(paper_model, "er:4:0.5", trials=2, seed=3,
+                                            design_method="binary")
+    assert estimate.trials == 2
+    with pytest.raises(BadParameter, match="unknown design method"):
+        msfnet.stability_probability(paper_model, "er:4:0.5", trials=2, seed=3,
+                                     design_method="greedy")
+
+
 def test_probability_accepts_callable_designer(paper_model):
     calls = []
 
